@@ -194,7 +194,6 @@ def bench_vector_kernels(repeat: int) -> dict:
     from repro.analysis.metrics import LatencySeries
     from repro.crash.crashmonkey import CRASH_WORKLOADS, _record_workload
     from repro.crash.plans import CrashPlanner
-    from repro.hw import memory as hw_memory
 
     def ab(fn) -> dict:
         with vector.forced(True):
@@ -205,17 +204,6 @@ def bench_vector_kernels(repeat: int) -> dict:
                 "speedup": round(off / on, 3) if on else None}
 
     out = {}
-
-    # Waterfill: 64-entity allocation, memo cleared per call so the
-    # kernel itself is what's measured.
-    demands = [float(1 + (i % 4)) for i in range(64)]
-    caps = [2.0 + (i % 7) for i in range(64)]
-
-    def run_waterfill():
-        for _ in range(300):
-            hw_memory.clear_waterfill_cache()
-            hw_memory._waterfill(demands, caps, 96.0)
-    out["waterfill"] = ab(run_waterfill)
 
     # Line-stream kernels on the crash bench's own recording.
     desc, driver, iterations = CRASH_WORKLOADS["generic_056"]

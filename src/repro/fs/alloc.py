@@ -9,14 +9,13 @@ its source pages recycled (§4.3).
 :class:`PageAllocator` reproduces that contract: :meth:`free` parks the
 pages until every read that was in flight at free time has drained
 (:meth:`reader_enter` / :meth:`reader_exit` bracket reads).  Allocation
-itself is O(1) from a recycled-page list, falling back to fresh page
-ids from the image.
+takes recycled pages first, oldest first, in one slice, falling back to
+fresh page ids from the image.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.fs.pmimage import PMImage
 
@@ -26,7 +25,8 @@ class PageAllocator:
 
     def __init__(self, image: PMImage):
         self.image = image
-        self._free: Deque[int] = deque()
+        #: Recycled page ids, oldest first (FIFO reuse).
+        self._free: List[int] = []
         self._active_reads: Set[int] = set()
         self._read_token_seq = 0
         # Parked frees: (pages, set of read tokens that must drain first).
@@ -40,9 +40,9 @@ class PageAllocator:
         if count < 0:
             raise ValueError(f"negative page count: {count}")
         self.pages_allocated += count
-        ids: List[int] = []
-        while self._free and len(ids) < count:
-            ids.append(self._free.popleft())
+        free = self._free
+        ids = free[:count]
+        del free[:count]
         if len(ids) < count:
             ids.extend(self.image.alloc_page_ids(count - len(ids)))
         return ids
@@ -78,12 +78,11 @@ class PageAllocator:
         if self._active_reads:
             self._deferred.append((list(pages), set(self._active_reads)))
         else:
-            self._release(list(pages))
+            self._release(pages)
 
     def _release(self, pages: List[int]) -> None:
-        for page_id in pages:
-            self.image.drop_page(page_id)
-            self._free.append(page_id)
+        # Freeing never touches the image (see PMImage.drop_page).
+        self._free.extend(pages)
 
     # -- introspection --------------------------------------------------------
     @property

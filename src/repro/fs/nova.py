@@ -565,7 +565,8 @@ class NovaFS:
                 "silently dropped (mount without elide_payloads to keep data)")
         if nbytes < 0 or offset < 0:
             raise FsError("negative offset/size")
-        ctx.trace_begin("write", ino=ino, offset=offset, nbytes=nbytes)
+        if ctx._tracer is not None:
+            ctx.trace_begin("write", ino=ino, offset=offset, nbytes=nbytes)
         try:
             # One event for both entry costs: nothing observable happens
             # between the syscall and VFS-lookup charges, so merging them
@@ -579,8 +580,9 @@ class NovaFS:
             if nbytes == 0:
                 return OpResult(value=0, ctx=ctx)
             yield from self._acquire_file_lock(ctx, m, write=True)
-            result = yield from self._write_locked(ctx, m, offset, nbytes,
-                                                   payload)
+            # The variant's write pipeline (see repro.io).
+            result = yield from self.io.write.run(ctx, m, offset, nbytes,
+                                                  payload)
         finally:
             ctx.trace_end("write")
         self._trace_write_ack(ctx, result, ino)
@@ -610,12 +612,6 @@ class NovaFS:
         result = yield from self.write(ctx, m.ino, m.size, nbytes, payload)
         return result
 
-    def _write_locked(self, ctx: OpContext, m: MemInode, offset: int,
-                      nbytes: int, payload: Optional[bytes]):
-        """Delegate to the variant's write pipeline (see repro.io)."""
-        result = yield from self.io.write.run(ctx, m, offset, nbytes, payload)
-        return result
-
     def _old_page_content(self, m: MemInode, off: int) -> bytes:
         mapping = m.index.get(off)
         if mapping is None:
@@ -642,12 +638,14 @@ class NovaFS:
                            size_after=prep.size_after, mtime=self.engine.now,
                            sns=sns)
         idx = yield from self._append_commit(ctx, m, entry)
-        ctx.trace_point("write_commit", ino=m.ino, log_idx=idx,
-                        pids=list(prep.page_ids), sns=list(sns))
+        if ctx._tracer is not None:
+            ctx.trace_point("write_commit", ino=m.ino, log_idx=idx,
+                            pids=list(prep.page_ids), sns=list(sns))
+        page_ids = prep.page_ids
         yield ctx.charge("indexing",
-                              self.model.index_insert_cost * len(prep.page_ids))
-        for i, pid in enumerate(prep.page_ids):
-            m.index[prep.pgoff + i] = PageMapping(pid, sns)
+                         self.model.index_insert_cost * len(page_ids))
+        m.index.update(zip(range(prep.pgoff, prep.pgoff + len(page_ids)),
+                           [PageMapping(pid, sns) for pid in page_ids]))
         m.bump_layout_epoch()
         m.size = prep.size_after
         m.mtime = entry.mtime
@@ -667,7 +665,8 @@ class NovaFS:
         whose value is the byte count (or the bytes, if ``want_data``)."""
         if nbytes < 0 or offset < 0:
             raise FsError("negative offset/size")
-        ctx.trace_begin("read", ino=ino, offset=offset, nbytes=nbytes)
+        if ctx._tracer is not None:
+            ctx.trace_begin("read", ino=ino, offset=offset, nbytes=nbytes)
         try:
             # One event for both entry costs: nothing observable happens
             # between the syscall and VFS-lookup charges, so merging them
@@ -722,13 +721,7 @@ class NovaFS:
             # reaching here means the read lock is still held.
             m.lock.release_read()
             raise
-        result = yield from self._read_extents(ctx, m, offset, nbytes, runs,
-                                               want_data)
-        return result
-
-    def _read_extents(self, ctx: OpContext, m: MemInode, offset: int,
-                      nbytes: int, runs, want_data: bool):
-        """Delegate to the variant's read pipeline (see repro.io)."""
+        # The variant's read pipeline (see repro.io).
         result = yield from self.io.read.run(ctx, m, offset, nbytes, runs,
                                              want_data)
         return result

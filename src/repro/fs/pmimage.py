@@ -113,6 +113,19 @@ class PMImage:
         if self.linestream is not None:
             self.linestream.page_write(page_id, data)
 
+    def write_pages(self, page_ids, contents) -> None:
+        """Persist a train of pages: :meth:`write_page` for each, in order.
+
+        Without a fault plan or recording (a line stream requires
+        recording) there is nothing per page to do besides the store,
+        so the train lands as one ``pages.update``.
+        """
+        if self.fault_plan is None and not self.recording:
+            self.pages.update(zip(page_ids, contents))
+            return
+        for page_id, data in zip(page_ids, contents):
+            self.write_page(page_id, data)
+
     def drop_page(self, page_id: int) -> None:
         """Return a page to free space.
 

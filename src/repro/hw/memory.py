@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional
 
-from repro import vector
 from repro.hw.params import CostModel
 from repro.sim import Engine, Event
 
@@ -43,10 +42,10 @@ class PoolFlow:
     """One in-flight transfer inside a :class:`BandwidthPool`."""
 
     __slots__ = ("nbytes", "remaining", "cap", "group", "tag",
-                 "event", "rate", "started_at")
+                 "event", "rate", "started_at", "shape_id")
 
     def __init__(self, nbytes: int, cap: float, group: str, tag: object,
-                 event: Event, now: int):
+                 event: Event, now: int, shape_id: Optional[int] = None):
         self.nbytes = nbytes
         self.remaining = float(nbytes)
         self.cap = cap
@@ -55,6 +54,9 @@ class PoolFlow:
         self.event = event
         self.rate = 0.0
         self.started_at = now
+        #: The pool's interned id of ``(group, cap, tag)``; None when the
+        #: tag is unhashable (the allocation is then computed uncached).
+        self.shape_id = shape_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<PoolFlow {self.group}/{self.tag} {self.remaining:.0f}B"
@@ -74,10 +76,6 @@ class PoolFlow:
 _WATERFILL_CACHE: dict = {}
 _WATERFILL_CACHE_MAX = 4096
 
-#: Below this entity count the reference waterfill outruns the numpy
-#: kernel (array construction dominates); the dispatcher delegates.
-VECTOR_MIN_ENTITIES = 16
-
 
 def clear_waterfill_cache() -> None:
     """Empty the global waterfill memo (stats-reset / test isolation)."""
@@ -95,7 +93,7 @@ def _waterfill(demands: List[float], caps: List[float], capacity: float) -> List
     cached = _WATERFILL_CACHE.get(key)
     if cached is not None:
         return cached
-    rates = _waterfill_kernel(demands, caps, capacity)
+    rates = _waterfill_compute(demands, caps, capacity)
     if len(_WATERFILL_CACHE) >= _WATERFILL_CACHE_MAX:
         # Evict the oldest entry (dict preserves insertion order); the
         # steady-state shapes re-enter at the tail and stay resident.
@@ -106,7 +104,7 @@ def _waterfill(demands: List[float], caps: List[float], capacity: float) -> List
 
 def _waterfill_compute(demands: List[float], caps: List[float],
                        capacity: float) -> List[float]:
-    """Reference kernel (pure Python) -- the semantics both modes pin."""
+    """The uncached max-min fill behind :func:`_waterfill`."""
     n = len(caps)
     rates = [0.0] * n
     active = list(range(n))
@@ -129,71 +127,6 @@ def _waterfill_compute(demands: List[float], caps: List[float],
             rates[i] = caps[i]
             active.remove(i)
     return rates
-
-
-def _waterfill_compute_np(demands: List[float], caps: List[float],
-                          capacity: float) -> List[float]:
-    """Vector kernel: bit-identical to :func:`_waterfill_compute`.
-
-    Elementwise work (the freeze test, the proportional fill, the
-    frozen-at-cap assignment) runs as whole-array IEEE-754 double ops,
-    which are exactly the scalar ops the reference performs per
-    element.  The two *reductions* whose rounding depends on operand
-    order -- the active-weight total and the frozen-headroom drain --
-    are deliberately performed as sequential left-to-right Python sums
-    over ascending indices, matching the reference's iteration order,
-    so every intermediate double is identical.  See DESIGN.md §15.
-    """
-    np = vector.numpy()
-    n = len(caps)
-    d = np.asarray(demands, dtype=np.float64)
-    c = np.asarray(caps, dtype=np.float64)
-    rates = np.zeros(n, dtype=np.float64)
-    active = np.ones(n, dtype=bool)
-    remaining = capacity
-    while remaining > 1e-12 and active.any():
-        # Sequential sum over ascending active indices == reference.
-        total_weight = sum(d[active].tolist())
-        if total_weight <= 0:
-            break
-        unit = remaining / total_weight
-        headroom = c - rates
-        frozen = active & (headroom <= unit * d + 1e-12)
-        if not frozen.any():
-            rates[active] += unit * d[active]
-            remaining = 0.0
-            break
-        # Drain sequentially in ascending index order == reference.
-        for delta in headroom[frozen].tolist():
-            remaining -= delta
-        rates[frozen] = c[frozen]
-        active &= ~frozen
-    return rates.tolist()
-
-
-def _waterfill_dispatch(demands: List[float], caps: List[float],
-                        capacity: float) -> List[float]:
-    """Vector-mode kernel: numpy above the break-even size, reference
-    below it (both are exact; only the constant factor differs)."""
-    if len(caps) < VECTOR_MIN_ENTITIES:
-        return _waterfill_compute(demands, caps, capacity)
-    return _waterfill_compute_np(demands, caps, capacity)
-
-
-#: The bound waterfill kernel (rebound by :func:`_rebind_kernels`).
-_waterfill_kernel = _waterfill_compute
-#: Mirrors ``vector.ENABLED`` for the _allocate_rates gather path.
-_VECTOR_ON = False
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _waterfill_kernel, _VECTOR_ON
-    _waterfill_kernel = _waterfill_dispatch if enabled else _waterfill_compute
-    _VECTOR_ON = enabled
-    # Memoised outputs are equal in both modes by the parity invariant,
-    # but A/B timing must not serve one mode's results to the other.
-    _WATERFILL_CACHE.clear()
 
 
 class BandwidthPool:
@@ -221,10 +154,17 @@ class BandwidthPool:
         self.group_cap_fn = group_cap_fn
         self._flows: List[PoolFlow] = []
         self._last_update: int = 0
-        self._timer_generation: int = 0
+        #: The pending completion wake-up.  A timer that fires while it
+        #: is no longer this one was superseded and must not act.
         self._wakeup: Optional[Event] = None
-        #: Memoised flow-shape -> rate-list (see _allocate_rates).
+        #: Memoised flow-shape key -> rate list (see _allocate_rates).
         self._alloc_cache: dict = {}
+        #: Interned flow shapes ``(group, cap, tag)`` -> small int ids,
+        #: so a memo key is a tuple of ints.  Ids are never reused
+        #: (``_next_shape_id`` only grows), so dropping the table can
+        #: cost cache misses but never aliases two shapes.
+        self._shape_ids: dict = {}
+        self._next_shape_id = 0
         # Lifetime statistics.
         self.bytes_moved: int = 0
         self.transfers_completed: int = 0
@@ -269,7 +209,9 @@ class BandwidthPool:
             event.succeed(0)
             return event
         self._advance()
-        self._flows.append(PoolFlow(nbytes, cap, group, tag, event, self.engine.now))
+        self._flows.append(PoolFlow(nbytes, cap, group, tag, event,
+                                    self.engine.now,
+                                    self._shape_id(group, cap, tag)))
         self._rebalance()
         return event
 
@@ -279,6 +221,21 @@ class BandwidthPool:
                    if group is None or f.group == group)
 
     # -- internals -------------------------------------------------------
+    def _shape_id(self, group: str, cap: float, tag: object) -> Optional[int]:
+        """The interned id of one flow shape; None for an unhashable tag."""
+        shape = (group, cap, tag)
+        ids = self._shape_ids
+        try:
+            sid = ids.get(shape)
+        except TypeError:
+            return None
+        if sid is None:
+            if len(ids) >= _WATERFILL_CACHE_MAX:
+                ids.clear()
+            sid = ids[shape] = self._next_shape_id
+            self._next_shape_id += 1
+        return sid
+
     def _advance(self) -> None:
         """Charge all flows for progress since the last state change."""
         now = self.engine.now
@@ -289,136 +246,91 @@ class BandwidthPool:
         self._last_update = now
 
     def _rebalance(self) -> None:
-        """Recompute rates and schedule the next completion wake-up."""
-        self._timer_generation += 1
+        """Retire finished flows, reassign rates, and schedule the
+        wake-up at the earliest projected completion."""
         # Withdraw the superseded wake-up so stale timers do not pile
-        # up in the engine heap (they would fire as generation-checked
-        # no-ops, but every flow-set change used to leak one).  When we
-        # are *inside* that timer's callback it is already processed
-        # and needs no cancellation; the generation check stays as a
-        # second line of defence.
+        # up in the engine heap.  Inside that timer's own callback it
+        # is already processed and needs no cancellation.
         stale = self._wakeup
         if stale is not None:
             self._wakeup = None
             if not stale.processed and not stale.cancelled:
                 stale.cancel()
+        flows = self._flows
         # Retire flows whose remaining bytes are (numerically) gone.
-        finished = [f for f in self._flows if f.remaining <= 1e-6]
+        finished = [f for f in flows if f.remaining <= 1e-6]
         if finished:
-            self._flows = [f for f in self._flows if f.remaining > 1e-6]
+            flows = self._flows = [f for f in flows if f.remaining > 1e-6]
             for flow in finished:
                 self.bytes_moved += flow.nbytes
                 self.transfers_completed += 1
                 flow.event.succeed(flow.nbytes)
-        if not self._flows:
+        if not flows:
             return
-        self._allocate_rates()
-        # Schedule a wake-up at the earliest projected completion.
-        flows = self._flows
-        if len(flows) == 1:
-            # Solo flow (the single-worker sweeps): skip the min() scan.
-            f = flows[0]
-            horizon = f.remaining / f.rate if f.rate > 0 else math.inf
-        else:
-            horizon = min(f.remaining / f.rate if f.rate > 0 else math.inf
-                          for f in flows)
-        if horizon is math.inf:
+        horizon = math.inf
+        for flow, rate in zip(flows, self._allocate_rates(flows)):
+            flow.rate = rate
+            if rate > 0:
+                until_done = flow.remaining / rate
+                if until_done < horizon:
+                    horizon = until_done
+        if horizon == math.inf:
             raise RuntimeError(
                 f"bandwidth pool {self.name!r} stalled: zero aggregate rate "
-                f"with {len(self._flows)} active flows")
-        generation = self._timer_generation
-        delay = max(1, math.ceil(horizon))
-        wakeup = self.engine.timeout(delay)
-        wakeup.add_callback(lambda _e: self._on_timer(generation))
+                f"with {len(flows)} active flows")
+        wakeup = self.engine.timeout(max(1, math.ceil(horizon)))
+        wakeup.add_callback(self._on_timer)
         self._wakeup = wakeup
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
+    def _on_timer(self, event: Event) -> None:
+        if event is not self._wakeup:
             return  # superseded by a later rebalance
         self._advance()
         self._rebalance()
 
-    def _allocate_rates(self) -> None:
-        """Hierarchical max-min: groups first (weighted by flow count),
-        then flows within each group.
+    def _allocate_rates(self, flows: List[PoolFlow]) -> List[float]:
+        """Hierarchical max-min rates, one per flow in ``flows`` order:
+        groups first (weighted by flow count), then flows within each
+        group.
 
         The allocation is a pure function of the flow-set shape --
         ``(group, cap, tag)`` per flow plus the pool capacity (tags are
         included because capacity policies may count distinct tags,
         e.g. active DMA write channels) -- and benchmark steady state
         cycles through a handful of shapes, so results are memoised
-        per pool.
+        per pool under the flows' interned shape ids.  The returned
+        list may be the cached one: never mutate it.
         """
-        flows = self._flows
-        try:
-            key = (self.capacity,
-                   tuple((f.group, f.cap, f.tag) for f in flows))
-        except TypeError:          # unhashable tag: compute uncached
-            key = None
+        ids = tuple([f.shape_id for f in flows])
+        key = None if None in ids else (self.capacity, ids)
         if key is not None:
             rates = self._alloc_cache.get(key)
             if rates is not None:
-                for flow, rate in zip(flows, rates):
-                    flow.rate = rate
-                return
-        if _VECTOR_ON and len(flows) >= VECTOR_MIN_ENTITIES:
-            self._allocate_rates_vec(flows, key)
-            return
-        groups: Dict[str, List[PoolFlow]] = {}
-        for flow in flows:
-            groups.setdefault(flow.group, []).append(flow)
-        counts = {g: len(fl) for g, fl in groups.items()}
-        caps = self.group_cap_fn(counts) if self.group_cap_fn else {}
-        names = sorted(groups)
-        group_caps = [min(caps.get(g, math.inf), sum(f.cap for f in groups[g]))
-                      for g in names]
-        weights = [float(len(groups[g])) for g in names]
-        group_rates = _waterfill(weights, group_caps, self.capacity)
-        for gname, grate in zip(names, group_rates):
-            members = groups[gname]
-            flow_rates = _waterfill([1.0] * len(members),
-                                    [f.cap for f in members], grate)
-            for flow, rate in zip(members, flow_rates):
-                flow.rate = rate
-        if key is not None:
-            if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
-                self._alloc_cache.clear()
-            self._alloc_cache[key] = [f.rate for f in flows]
-
-    def _allocate_rates_vec(self, flows: List[PoolFlow], key) -> None:
-        """Vector gather path for :meth:`_allocate_rates` (many flows).
-
-        Batches the per-flow cap gathering and rate scatter through one
-        float64 array instead of per-flow Python attribute walks.  The
-        group-cap sums and both waterfill levels run over the *same*
-        sequences in the same order as the reference path (fancy
-        indexing with ascending member indices preserves append order),
-        so every rate is bit-identical.
-        """
-        np = vector.numpy()
-        caps_arr = np.fromiter((f.cap for f in flows),
-                               count=len(flows), dtype=np.float64)
+                return rates
         members: Dict[str, List[int]] = {}
         for i, flow in enumerate(flows):
             members.setdefault(flow.group, []).append(i)
         counts = {g: len(ix) for g, ix in members.items()}
         caps = self.group_cap_fn(counts) if self.group_cap_fn else {}
         names = sorted(members)
-        member_caps = {g: caps_arr[members[g]].tolist() for g in names}
-        group_caps = [min(caps.get(g, math.inf), sum(member_caps[g]))
+        flow_caps = [f.cap for f in flows]
+        group_caps = [min(caps.get(g, math.inf),
+                          sum(flow_caps[i] for i in members[g]))
                       for g in names]
         weights = [float(counts[g]) for g in names]
         group_rates = _waterfill(weights, group_caps, self.capacity)
-        rates_out = np.empty(len(flows), dtype=np.float64)
+        rates = [0.0] * len(flows)
         for gname, grate in zip(names, group_rates):
-            mc = member_caps[gname]
-            rates_out[members[gname]] = _waterfill([1.0] * len(mc), mc, grate)
-        for flow, rate in zip(flows, rates_out.tolist()):
-            flow.rate = rate
+            ix = members[gname]
+            shares = _waterfill([1.0] * len(ix), [flow_caps[i] for i in ix],
+                                grate)
+            for i, rate in zip(ix, shares):
+                rates[i] = rate
         if key is not None:
             if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
                 self._alloc_cache.clear()
-            self._alloc_cache[key] = [f.rate for f in flows]
+            self._alloc_cache[key] = rates
+        return rates
 
     def reset_stats(self) -> None:
         """Zero the lifetime counters and drop memoised allocations."""

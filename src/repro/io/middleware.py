@@ -59,7 +59,8 @@ class DeadlineGate:
 
     @staticmethod
     def check(ctx, m) -> None:
-        ctx.check_deadline(f"write ino{m.ino} pre-submit")
+        if ctx.deadline is not None:
+            ctx.check_deadline(f"write ino{m.ino} pre-submit")
 
 
 class AdmissionControl:

@@ -231,8 +231,10 @@ class IoPlanner:
                 new = bytearray(old)
                 new[lo:hi] = payload[data_lo:data_lo + (hi - lo)]
                 contents.append(bytes(new))
-        old_pages = [m.index[off].page_id
-                     for off in range(pgoff, pgoff + npages) if off in m.index]
+        index = m.index
+        old_pages = ([index[off].page_id
+                      for off in range(pgoff, pgoff + npages) if off in index]
+                     if index else [])
         # One copy per physically contiguous run of new pages; freshly
         # allocated runs are contiguous unless the recycler fragmented
         # them -- model one run per fragment.  The edge pages move

@@ -1,7 +1,7 @@
 """Vectorised data-plane kernel selection (DESIGN.md §15).
 
-The simulator's numeric hot kernels -- bandwidth waterfill, line-stream
-replay, latency percentiles, wheel compaction -- each ship in two
+The simulator's numeric hot kernels -- line-stream replay, crash-plan
+hashing, latency percentiles, wheel compaction -- each ship in two
 implementations: the pure-Python *reference* (always available, always
 the semantics) and a numpy-backed *vector* kernel that must produce
 bit-identical outputs.  This module is the single switchboard deciding

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fs.pmimage import MutationRecord, PMImage
+from repro.faults.plan import MEDIA, FaultPlan
+from repro.fs.pmimage import ELIDED, MutationRecord, PMImage
 from repro.fs.structures import FileKind, Inode, WriteEntry
 
 
@@ -41,6 +42,71 @@ class TestMutations:
         ids = img.alloc_page_ids(3)
         assert ids == [0, 1, 2]
         assert img.alloc_page_ids(1) == [3]
+
+
+class TestWritePages:
+    """``write_pages`` must be indistinguishable from a ``write_page``
+    loop, whatever is attached to the image."""
+
+    PIDS = [7, 3, 9, 3, 12, 0, 5]
+
+    def _contents(self, elide):
+        out = [bytes([i + 1]) * (64 * (i + 1)) for i in range(len(self.PIDS))]
+        if elide:
+            out[5] = ELIDED
+        return out
+
+    def _both(self, make, before=None, elide=True):
+        """(looped image, bulk image), built by ``make`` and given the
+        same ``before(img)`` preparation."""
+        looped, bulk = make(), make()
+        for img in (looped, bulk):
+            if before is not None:
+                before(img)
+        for pid, data in zip(self.PIDS, self._contents(elide)):
+            looped.write_page(pid, data)
+        bulk.write_pages(self.PIDS, self._contents(elide))
+        return looped, bulk
+
+    def test_pages_on_a_plain_image(self):
+        looped, bulk = self._both(PMImage)
+        assert list(bulk.pages.items()) == list(looped.pages.items())
+
+    def test_mutation_journal(self):
+        looped, bulk = self._both(lambda: PMImage(record=True))
+        assert bulk.mutations == looped.mutations
+        assert len(bulk.mutations) == len(self.PIDS)
+
+    def test_line_stream_records(self):
+        def announce(img):
+            # One page already in flight via DMA: its landing must be
+            # deduplicated against the announcement in both images.
+            img.enable_line_recording().announce_dma_pages(
+                0, 1, [9], [self._contents(elide=False)[2]])
+        # Line recording never sees elided payloads (they are refused
+        # together with recording images).
+        looped, bulk = self._both(lambda: PMImage(record=True), announce,
+                                  elide=False)
+        for img in (looped, bulk):
+            img.pages_fence()
+
+        def records(img):
+            return [(type(r).__name__, r.seq, getattr(r, "mech", None),
+                     getattr(r, "obj", None), getattr(r, "payload", None),
+                     getattr(r, "dep", None), getattr(r, "label", None))
+                    for r in img.linestream.records]
+        assert records(bulk) == records(looped)
+        assert bulk.mutations == looped.mutations
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_media_fault_corruption_order(self, record):
+        def arm(img):
+            img.fault_plan = FaultPlan(seed=11, p_media=0.5)
+        looped, bulk = self._both(lambda: PMImage(record=record), arm)
+        assert bulk.fault_plan.injected[MEDIA] > 0
+        assert bulk.fault_plan.trace == looped.fault_plan.trace
+        assert list(bulk.pages.items()) == list(looped.pages.items())
+        assert bulk.mutations == looped.mutations
 
 
 class TestReplay:

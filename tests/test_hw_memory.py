@@ -8,6 +8,7 @@ from repro.hw.memory import (
     BandwidthPool,
     _waterfill,
 )
+from repro.sim import Engine
 from tests.conftest import run_proc
 
 
@@ -120,6 +121,65 @@ class TestBandwidthPool:
         total = sum(500 + 77 * i for i in range(10))
         assert pool.bytes_moved == total
         assert total <= 3.0 * engine.now + 1e-6
+
+
+class TestRebalance:
+    @staticmethod
+    def _staggered(tags):
+        """Two overlapping flows; returns (pool, [(tag index, done_at)])."""
+        engine = Engine()
+        pool = BandwidthPool(engine, "p", capacity=2.0)
+        done = []
+
+        def flow(i, delay, size):
+            yield engine.timeout(delay)
+            yield pool.transfer(size, cap=1.5, tag=tags[i])
+            done.append((i, engine.now))
+        engine.process(flow(0, 0, 1000))
+        engine.process(flow(1, 250, 500))
+        engine.run()
+        return pool, done
+
+    def test_unhashable_tag_takes_the_uncached_path(self):
+        hashed_pool, hashed = self._staggered(("a", "b"))
+        listed_pool, listed = self._staggered((["a"], ["b"]))
+        assert listed == hashed
+        assert hashed_pool._alloc_cache
+        assert not listed_pool._alloc_cache
+
+    @pytest.mark.parametrize("tag", ["t", ["t"]])
+    def test_zero_rate_flow_set_raises_stall(self, engine, tag):
+        pool = BandwidthPool(engine, "p", capacity=5.0,
+                             group_cap_fn=lambda counts: {"dead": 0.0})
+        with pytest.raises(RuntimeError, match="stalled"):
+            pool.transfer(100, cap=1.0, group="dead", tag=tag)
+
+    def test_superseded_timer_never_advances_pool(self, engine):
+        pool = BandwidthPool(engine, "p", capacity=2.0)
+        done = {}
+
+        def flow(tag):
+            yield pool.transfer(1000, cap=2.0, tag=tag)
+            done[tag] = engine.now
+
+        def body():
+            engine.process(flow("a"))
+            yield engine.timeout(1)
+            stale = pool._wakeup
+            yield engine.timeout(99)
+            engine.process(flow("b"))
+            yield engine.timeout(50)
+            assert stale is not pool._wakeup and stale.cancelled
+            current = pool._wakeup
+            remaining = [f.remaining for f in pool._flows]
+            pool._on_timer(stale)        # a late delivery of the old timer
+            assert pool._last_update == 100
+            assert pool._wakeup is current
+            assert [f.remaining for f in pool._flows] == remaining
+        run_proc(engine, body())
+        # a: 200 B alone at 2 B/ns, then 800 B at 1 B/ns -> 900.
+        # b: 800 B at 1 B/ns alongside a, then 200 B at 2 B/ns -> 1000.
+        assert done == {"a": 900, "b": 1000}
 
 
 class TestSlowMemory:

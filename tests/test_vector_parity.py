@@ -17,7 +17,6 @@ from repro import vector
 from repro.analysis.metrics import LatencySeries
 from repro.crash import linestream as ls
 from repro.crash.plans import CrashPlanner
-from repro.hw import memory as hw_memory
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
@@ -61,53 +60,10 @@ class TestSwitchboard:
         # The fallback is first-class: everything must work in
         # reference mode whether or not numpy exists.
         with vector.forced(False):
-            assert hw_memory._waterfill_kernel is hw_memory._waterfill_compute
-            rates = hw_memory._waterfill_compute([1.0, 2.0], [5.0, 5.0], 6.0)
-            assert sum(rates) == pytest.approx(6.0)
             s = LatencySeries()
             for v in (5, 1, 9):
                 s.record(v)
             assert s.p50() == 5.0
-
-
-class TestWaterfillParity:
-    @needs_numpy
-    def test_seeded_random_shapes(self):
-        rng = random.Random(0xA11C)
-        for trial in range(400):
-            n = rng.choice([0, 1, 2, 3, 7, 15, 16, 17, 33, 64, 200])
-            demands = [rng.choice([1.0, 2.0, 0.5, float(rng.randint(1, 9))])
-                       for _ in range(n)]
-            caps = [rng.uniform(1e-6, 20.0) for _ in range(n)]
-            capacity = rng.choice([0.0, 1e-13, rng.uniform(0.01, 100.0)])
-            ref = hw_memory._waterfill_compute(demands, caps, capacity)
-            vec = hw_memory._waterfill_compute_np(demands, caps, capacity)
-            assert ref == vec, (trial, n, capacity)
-            assert hw_memory._waterfill_dispatch(demands, caps,
-                                                 capacity) == ref
-
-    @needs_numpy
-    def test_degenerate_shapes(self):
-        cases = [
-            ([], [], 5.0),                       # no entities
-            ([1.0], [3.0], 5.0),                 # single, capacity-rich
-            ([1.0], [3.0], 0.0),                 # nothing to allocate
-            ([0.0, 0.0], [1.0, 1.0], 5.0),       # zero total weight
-            ([1.0] * 20, [0.0] * 20, 5.0),       # everyone capped at 0
-            ([1.0] * 20, [1e-9] * 20, 1e9),      # instant freeze-all
-        ]
-        for demands, caps, capacity in cases:
-            assert hw_memory._waterfill_compute(demands, caps, capacity) \
-                == hw_memory._waterfill_compute_np(demands, caps, capacity)
-
-    @needs_numpy
-    def test_memo_serves_identical_rates_across_modes(self):
-        demands, caps, capacity = [1.0] * 24, [2.0] * 24, 10.0
-        with vector.forced(True):
-            a = hw_memory._waterfill(demands, caps, capacity)
-        with vector.forced(False):
-            b = hw_memory._waterfill(demands, caps, capacity)
-        assert a == b
 
 
 def _synth_stream(rng: random.Random) -> ls.LineStream:
