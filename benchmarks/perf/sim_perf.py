@@ -35,9 +35,7 @@ file is adopted as the first entry.  Usage::
 and exits 1 when any wall-clock metric regressed by more than
 ``REGRESSION_MAX`` (CI runners are noisy; 1.5x is a real regression,
 not jitter).  Timings are best-of-``--repeat`` to shave scheduling
-noise.  Each report also records the engine microbenchmark under both
-event-queue schedulers (``heap`` and ``wheel``) so the trajectory
-tracks the scheduler gap PR by PR.
+noise.
 """
 
 from __future__ import annotations
@@ -89,10 +87,10 @@ def _best_of(repeat, fn):
 # ----------------------------------------------------------------------
 # Section 1: pure engine throughput
 # ----------------------------------------------------------------------
-def bench_engine(events_target: int, scheduler=None) -> dict:
+def bench_engine(events_target: int) -> dict:
     """Events/sec of the bare engine: pooled sleeps across processes."""
     def run():
-        engine = Engine(scheduler=scheduler)
+        engine = Engine()
         per_proc = events_target // 4
 
         def ticker():
@@ -266,13 +264,9 @@ def bench_replication(repeat: int) -> dict:
 # Report / regression gate
 # ----------------------------------------------------------------------
 def measure(quick: bool, repeat: int) -> dict:
-    from repro.sim import DEFAULT_SCHEDULER
-
     events = 100_000 if quick else 400_000
     duration_us, warmup_us = (400, 100) if quick else (1200, 300)
     engine = bench_engine(events)
-    per_scheduler = {name: bench_engine(events, name)
-                     for name in ("heap", "wheel")}
     fig08 = bench_fig08_probe(repeat)
     fig09 = bench_fig09(repeat, duration_us, warmup_us)
     repl = bench_replication(repeat)
@@ -281,7 +275,6 @@ def measure(quick: bool, repeat: int) -> dict:
     report = {
         "mode": "quick" if quick else "full",
         "host_cpus": os.cpu_count() or 1,
-        "scheduler": DEFAULT_SCHEDULER,
         # Wall clocks are only comparable across entries measured in
         # the same interpreter/kernel configuration; record it.
         "environment": {
@@ -292,10 +285,6 @@ def measure(quick: bool, repeat: int) -> dict:
         },
         "vector_kernels": bench_vector_kernels(repeat),
         "engine": engine,
-        "engine_by_scheduler": {
-            name: {"events_per_sec": r["events_per_sec"],
-                   "wall_s": r["wall_s"]}
-            for name, r in per_scheduler.items()},
         "figures": {
             "fig08_probe": fig08,
             "fig09_sweep_serial": fig09["fig09_sweep_serial"],

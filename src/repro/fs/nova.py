@@ -271,15 +271,6 @@ class NovaFS:
                 "payload elision cannot be combined with a recording "
                 "image: crash replay needs real page contents")
         self.allocator = PageAllocator(self.image)
-        # Line-recording images journal per-descriptor completion-buffer
-        # stores, so DMA macro-op aggregation must stand down while one
-        # is active: bind this filesystem's image as every channel's
-        # fidelity probe (like on_completion, the newest filesystem on
-        # a shared platform wins).
-        image = self.image
-        for _ch in platform.dma.channels:
-            _ch.fidelity_probe = (
-                lambda _img=image: _img.linestream is not None)
         self._mem: Dict[int, MemInode] = {}
         self.ops_completed = 0
         self._mounted = False

@@ -35,49 +35,17 @@ descriptors, every failed/stranded SN is reported through ``on_error``
 / ``on_reset`` *before* any later completion can cover it -- EasyIO
 persists these as poisoned SNs so its recovery validity rule stays
 sound under failover.
-
-Macro-op aggregation (steady-state fast path)
----------------------------------------------
-
-The classic service path runs one generator process per channel and
-pays, per descriptor, the full submit -> ring hand-off -> park/resume
-choreography: a put acknowledgement, a ring-getter wake-up, and a
-generator resumption for every step of the descriptor's lifetime.  In
-steady state (no faults, no tracer, no line-recording image) none of
-that choreography is observable -- only the descriptor's *completion
-time* and the completion side effects are.  Macro-op mode therefore
-collapses the chain into a closed-form callback sequence (overhead
-timer -> bandwidth-pool flow -> completion-write timer -> epilogue)
-that schedules the *same events at the same nanoseconds* while
-skipping the ring hand-off events and all generator machinery.
-
-Legality is latched per channel at each idle->busy transition (see
-:meth:`DmaChannel._use_aggregation`): macro-ops require no fault plan,
-no tracer, no fidelity probe demanding per-page records, and a
-non-halted channel.  While a macro-op chain is draining the mode is
-*sticky* (one serving mechanism keeps FIFO completion order); if a
-fault plan arrives mid-flight the queued descriptors are expanded back
-onto the classic ring at the next descriptor boundary, preserving
-order.  ``REPRO_DMA_MACRO_OPS=0`` disables the fast path globally --
-the golden-equivalence suite pins both paths byte-exact.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from collections import deque
 from typing import Callable, List, Optional, Sequence
 
 from repro.hw.memory import SlowMemory
 from repro.hw.params import CostModel
 from repro.sim import Channel as SimChannel
 from repro.sim import Engine, Event, Gate
-
-#: Process-wide default for macro-op DMA aggregation.  Channels read it
-#: at construction; tests override per channel via ``ch.aggregation``.
-DMA_MACRO_OPS = os.environ.get("REPRO_DMA_MACRO_OPS", "1") != "0"
-
 
 class DmaDescriptor:
     """One DMA work descriptor (a memory-copy command).
@@ -167,32 +135,10 @@ class DmaChannel:
         self.errors = 0
         self.halts = 0
         self.resets = 0
-        #: Installed FaultPlan (or None for perfect hardware); a
-        #: property so installing a plan mid-flight expands any queued
-        #: macro-op descriptors back onto the classic ring.
-        self._fault_plan = None
-        # -- macro-op aggregation state --------------------------------
-        #: Master switch for the aggregated fast path on this channel.
-        self.aggregation = DMA_MACRO_OPS
-        #: Returns True when something outside the channel (a
-        #: line-recording image, say) needs per-descriptor fidelity and
-        #: macro-ops must not engage.  Wired by the filesystem layer.
-        self.fidelity_probe: Optional[Callable[[], bool]] = None
-        #: Descriptors accepted by the aggregated path (observability).
-        self.descriptors_aggregated = 0
-        self._agg_fifo: deque = deque()
-        self._agg_putters: deque = deque()  # (event, desc) on full ring
-        self._agg_active = False
-        self._agg_expand = False
-        #: The one descriptor the macro-op chain is serving (the chain
-        #: is strictly sequential per channel, so the stage callbacks
-        #: are pre-bound once here instead of closing over each desc).
-        self._agg_current: Optional[DmaDescriptor] = None
-        self._agg_resume_cb = self._agg_resume
-        self._agg_serve_cb = self._agg_serve
-        self._agg_transfer_cb = self._agg_transfer
-        self._agg_landed_cb = self._agg_landed
-        self._agg_finish_cb = self._agg_finish
+        #: Installed FaultPlan (or None for perfect hardware); read
+        #: per descriptor, so a plan installed mid-flight applies to
+        #: every descriptor fetched after the install.
+        self.fault_plan = None
         #: Called as fn(channel, (sn, ...)) the instant SNs fail --
         #: strictly before any later completion can cover them.
         self.on_error: Optional[Callable] = None
@@ -249,27 +195,6 @@ class DmaChannel:
         """Has a CHANERR halted this channel (pending reset())?"""
         return self._halted
 
-    @property
-    def fault_plan(self):
-        """Installed FaultPlan (or None for perfect hardware)."""
-        return self._fault_plan
-
-    @fault_plan.setter
-    def fault_plan(self, plan) -> None:
-        self._fault_plan = plan
-        if plan is not None and (self._agg_active or self._agg_fifo):
-            # Mid-flight install: per-descriptor fault checks need the
-            # classic path, so queued macro-op descriptors expand back
-            # onto the ring at the next descriptor boundary (the one in
-            # flight completes fault-free, as classic hardware would
-            # finish its fetched descriptor).
-            self._agg_expand = True
-
-    @property
-    def macro_ops_active(self) -> bool:
-        """Is the aggregated fast path currently draining descriptors?"""
-        return self._agg_active
-
     # -- submission -------------------------------------------------------
     def submit(self, descriptors: Sequence[DmaDescriptor]):
         """Process generator: CPU-side submission of one batch.
@@ -285,9 +210,6 @@ class DmaChannel:
                 f"batch of {len(descriptors)} exceeds max {self.model.dma_batch_max}")
         prep = self.model.dma_desc_prep_cost * len(descriptors)
         yield self.engine.sleep(prep + self.model.dma_doorbell_cost)
-        if self._use_aggregation():
-            yield from self._submit_aggregated(descriptors)
-            return list(descriptors)
         tr = self.engine.tracer
         for i, desc in enumerate(descriptors):
             desc.pipelined = i > 0
@@ -321,16 +243,6 @@ class DmaChannel:
         Used where the caller has already accounted for submission cost
         and must not block; returns False if the ring is full.
         """
-        if self._use_aggregation():
-            if len(self._agg_fifo) >= self.model.dma_ring_size:
-                return False
-            desc.pipelined = False
-            self._accept_aggregated(desc)
-            self._agg_fifo.append(desc)
-            if not self._agg_active:
-                self._agg_active = True
-                self._agg_next()
-            return True
         if self._ring.full:
             return False
         desc.pipelined = False
@@ -420,184 +332,6 @@ class DmaChannel:
         self.resets += 1
         self._halt_gate.open()
         return stranded
-
-    # -- macro-op aggregation (steady-state fast path) ---------------------
-    def _use_aggregation(self) -> bool:
-        """Decide the serving mechanism for newly submitted descriptors.
-
-        Evaluated at each submission instant.  While a macro-op chain
-        is draining the answer is sticky-True (FIFO completion order
-        needs one serving mechanism); while classic descriptors are in
-        flight it is sticky-False for the same reason.  From idle, the
-        fast path engages only when nothing observable distinguishes it
-        from the classic choreography: no fault plan (per-descriptor
-        fault checks), no tracer (per-descriptor points), no fidelity
-        probe demanding per-page records, and a non-halted channel.
-        """
-        if self._agg_active or self._agg_fifo:
-            return True
-        if self._queued:
-            return False
-        if (not self.aggregation or self._fault_plan is not None
-                or self._halted or self.engine.tracer is not None):
-            return False
-        probe = self.fidelity_probe
-        return probe is None or not probe()
-
-    def _accept_aggregated(self, desc: DmaDescriptor) -> None:
-        """Stamp one descriptor exactly as the classic submit path does."""
-        desc.done = self.engine.event()
-        desc.submitted_at = self.engine.now
-        self._submitted_total += 1
-        desc.sn = self._submitted_total
-        self._queued += 1
-        self.descriptors_aggregated += 1
-        tr = self.engine.tracer
-        if tr is not None:  # tracer attached mid-chain (sticky mode)
-            tr.point("dma_submit", track=self._track, sn=desc.sn,
-                     nbytes=desc.nbytes, write=desc.write)
-
-    def _submit_aggregated(self, descriptors: Sequence[DmaDescriptor]):
-        """Aggregated-mode tail of :meth:`submit` (after the CPU charge).
-
-        Descriptors enter the macro-op FIFO synchronously -- no put
-        acknowledgement, no ring-getter wake-up -- but the ring bound
-        still back-pressures: past ``dma_ring_size`` queued descriptors
-        the submitter blocks until the chain frees a slot, exactly when
-        a full hardware ring would have blocked it.
-        """
-        for i, desc in enumerate(descriptors):
-            desc.pipelined = i > 0
-            self._accept_aggregated(desc)
-            if len(self._agg_fifo) >= self.model.dma_ring_size:
-                ev = self.engine.event()
-                self._agg_putters.append((ev, desc))
-                yield ev
-            else:
-                self._agg_fifo.append(desc)
-                if not self._agg_active:
-                    self._agg_active = True
-                    self._agg_next()
-
-    def _agg_next(self) -> None:
-        """Fetch the next queued descriptor into the macro-op chain.
-
-        Mirrors one iteration of the classic service loop's fetch step:
-        pop in FIFO order, admit the oldest blocked submitter into the
-        freed ring slot, park on the resume gate while suspended.
-        """
-        if self._agg_expand:
-            self._agg_expand_now()
-            return
-        fifo = self._agg_fifo
-        if not fifo:
-            self._agg_active = False
-            return
-        desc = fifo.popleft()
-        putters = self._agg_putters
-        while putters:
-            ev, queued = putters.popleft()
-            if ev.cancelled:
-                continue
-            fifo.append(queued)
-            ev.succeed()
-            break
-        self._agg_current = desc
-        # One same-nanosecond dispatch hop before serving: the classic
-        # loop resumes from ``yield ring.get()`` one dispatch after the
-        # hand-off, and only *then* inspects suspend state and ring
-        # occupancy.  Descriptors submitted in the intervening dispatch
-        # (same ns) must count toward the pipelining decision in both
-        # paths, so the fast path keeps this hop.
-        self.engine.sleep(0).add_callback(self._agg_resume_cb)
-
-    def _agg_resume(self, _ev=None) -> None:
-        """Post-fetch dispatch point: park while suspended, then serve."""
-        if self._suspended:
-            self._resume_gate.wait().add_callback(self._agg_serve_cb)
-            return
-        self._agg_serve()
-
-    def _agg_serve(self, _ev=None) -> None:
-        """Charge the per-descriptor engine overhead (classic timing)."""
-        model = self.model
-        desc = self._agg_current
-        pipelined = desc.pipelined or self._pipeline_next
-        self._pipeline_next = len(self._agg_fifo) > 0
-        overhead = (model.dma_desc_overhead_batched if pipelined
-                    else model.dma_desc_overhead)
-        self.engine.sleep(overhead).add_callback(self._agg_transfer_cb)
-
-    def _agg_transfer(self, _ev=None) -> None:
-        """Enter the bandwidth pool at the instant classic would."""
-        model = self.model
-        desc = self._agg_current
-        rate = (model.dma_channel_write_rate if desc.write
-                else model.dma_channel_read_rate)
-        owner = self.owner_engine
-        if owner is not None:
-            rate = min(rate, owner.claim_share())
-        self.memory.dma_transfer(desc.nbytes, desc.write, rate,
-                                 tag=self.channel_id).add_callback(
-            self._agg_landed_cb)
-
-    def _agg_landed(self, _ev=None) -> None:
-        """Payload landed: release the engine share, write completion."""
-        owner = self.owner_engine
-        if owner is not None:
-            owner.release_share()
-        self.engine.sleep(self.model.dma_completion_write_cost).add_callback(
-            self._agg_finish_cb)
-
-    def _agg_finish(self, _ev=None) -> None:
-        """Completion epilogue: identical side effects, identical order,
-        to the classic service loop's completion block."""
-        desc = self._agg_current
-        if desc.on_complete is not None:
-            desc.on_complete(desc)
-        self._completion_sn = desc.sn
-        self._queued -= 1
-        self.bytes_moved += desc.nbytes
-        self.descriptors_completed += 1
-        desc.status = "ok"
-        desc.completed_at = self.engine.now
-        tr = self.engine.tracer
-        if tr is not None:
-            tr.point("dma_complete", track=self._track, sn=desc.sn)
-        if self.on_completion is not None:
-            self.on_completion(self)
-        desc.done.succeed(desc)
-        while self._sn_waiters and self._sn_waiters[0][0] <= self._completion_sn:
-            _sn, _seq, ev = heapq.heappop(self._sn_waiters)
-            ev.succeed(self._completion_sn)
-        self._agg_next()
-
-    def _agg_expand_now(self) -> None:
-        """Expand queued macro-op descriptors back onto the classic ring.
-
-        Runs at a descriptor boundary after a fault plan arrived
-        mid-flight: hands the FIFO to the (still parked) service loop
-        in order -- the first descriptor wakes the ring getter exactly
-        like :meth:`~repro.sim.sync.Channel.put` would -- and re-queues
-        any blocked submitters as classic ring putters.
-        """
-        self._agg_expand = False
-        self._agg_active = False
-        ring = self._ring
-        fifo = self._agg_fifo
-        while fifo:
-            desc = fifo.popleft()
-            while ring._getters and ring._getters[0].cancelled:
-                ring._getters.popleft()
-            if ring._getters:
-                ring._getters.popleft().succeed(desc)
-            else:
-                ring._items.append(desc)
-        while self._agg_putters:
-            ev, desc = self._agg_putters.popleft()
-            if ev.cancelled:
-                continue
-            ring._putters.append((ev, desc))
 
     # -- engine ----------------------------------------------------------------
     def _service_loop(self):

@@ -20,13 +20,7 @@ from repro.sim.engine import (
     Timeout,
     WaitTimeout,
 )
-from repro.sim.queues import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    EventQueue,
-    PackedHeapQueue,
-    TimingWheelQueue,
-)
+from repro.sim.queues import TimingWheelQueue
 from repro.sim.sync import (
     Barrier,
     Channel,
@@ -40,17 +34,13 @@ from repro.sim.sync import (
 __all__ = [
     "Barrier",
     "Channel",
-    "DEFAULT_SCHEDULER",
     "Engine",
     "Event",
-    "EventQueue",
     "Gate",
     "Interrupt",
     "Lock",
-    "PackedHeapQueue",
     "Process",
     "RWLock",
-    "SCHEDULERS",
     "Semaphore",
     "SimulationError",
     "Store",

@@ -10,14 +10,14 @@ Hot-path design (the engine is the throughput ceiling for every
 figure sweep, so the representation is tuned without changing the
 ``(time, schedule-order)`` firing order):
 
-* The schedule queue is pluggable (see :mod:`repro.sim.queues`):
-  ``Engine(scheduler="heap")`` keeps the reference packed-key binary
-  heap, ``Engine(scheduler="wheel")`` -- the default -- uses a
-  hierarchical timing wheel whose per-timestamp FIFO buckets make
-  pushes O(1) amortised.  Both produce byte-identical schedules.
-* The run loop *batch-fires*: all events at one ``when`` drain in a
-  single queue dispatch, so the clock, the limit check, and the queue
-  are touched once per distinct timestamp instead of once per event.
+* The schedule queue is a hierarchical timing wheel (see
+  :mod:`repro.sim.queues`) whose per-timestamp FIFO buckets make
+  pushes O(1) amortised; the hottest triggers (``succeed`` and
+  ``sleep``) inline its near-window push.
+* The run loop *batch-fires*: it walks the wheel's buckets directly
+  and drains all events at one ``when`` in a single dispatch, so the
+  clock, the limit check, and the queue are touched once per distinct
+  timestamp instead of once per event.
 * :meth:`Engine.sleep` hands out pooled one-shot timer events for the
   fire-and-forget delays that dominate simulations (CPU cost charges,
   scheduler switch costs, device service delays).  See its docstring
@@ -47,7 +47,7 @@ import gc
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.queues import TimingWheelQueue, make_queue
+from repro.sim.queues import TimingWheelQueue
 
 
 class SimulationError(Exception):
@@ -116,7 +116,7 @@ class EngineStats:
     counts :meth:`Event.cancel` calls that performed a cancellation,
     and ``heap_compactions`` counts lazy rebuilds of the schedule queue
     (each one evicts the cancelled entries accumulated so far; the name
-    predates the pluggable queue and covers both implementations).
+    predates the timing wheel).
     ``sleeps_reused`` counts pooled :meth:`Engine.sleep` recycles.
     """
 
@@ -194,12 +194,11 @@ class Event:
         self._value = value
         self._state = _TRIGGERED
         # succeed() is the hottest trigger: the wheel's near-window
-        # bucket push is inlined (see Engine._wheel), other queues get
-        # one bound push call.
+        # bucket push is inlined; the far window takes the push call.
         engine = self.engine
         wheel = engine._wheel
         when = engine._now
-        if wheel is not None and when < wheel._epoch_end:
+        if when < wheel._epoch_end:
             wheel._len += 1
             bucket = wheel._buckets.get(when)
             if bucket is None:
@@ -208,7 +207,7 @@ class Event:
             else:
                 bucket.append(self)
         else:
-            engine._push(self, when)
+            wheel.push(self, when)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -251,7 +250,7 @@ class Event:
         if state == _TRIGGERED:
             # The entry stays in the schedule queue; the queue counts
             # it and compacts lazily once dead entries dominate.
-            engine._queue.note_cancelled(self)
+            engine._wheel.note_cancelled(self)
         return True
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -529,25 +528,13 @@ class Engine:
     ----------
     now:
         Current simulated time in nanoseconds.
-
-    Parameters
-    ----------
-    scheduler:
-        Which schedule queue to use: ``"heap"`` (the reference packed
-        binary heap), ``"wheel"`` (hierarchical timing wheel, the
-        default), an :class:`~repro.sim.queues.EventQueue` subclass, or
-        an instance.  None picks the process default
-        (:data:`repro.sim.queues.DEFAULT_SCHEDULER`, overridable with
-        the ``REPRO_SIM_SCHEDULER`` environment variable).  Both
-        shipped queues produce byte-identical schedules; the knob
-        exists for validation and benchmarking.
     """
 
-    __slots__ = ("_now", "_queue", "_push", "_wheel", "_active",
-                 "_sleep_pool", "_sleeps_reused", "_stats", "_done",
-                 "_name_seqs", "tracer")
+    __slots__ = ("_now", "_wheel", "_active", "_sleep_pool",
+                 "_sleeps_reused", "_stats", "_done", "_name_seqs",
+                 "tracer")
 
-    def __init__(self, scheduler=None):
+    def __init__(self):
         self._now: int = 0
         self._stats = EngineStats()
         #: Engine-scoped naming counters (see :meth:`name_seq`).
@@ -556,16 +543,10 @@ class Engine:
         # _stats on the sleep() hot path) and synced into _stats by the
         # `stats` property.
         self._sleeps_reused = 0
-        queue = make_queue(scheduler)
-        queue.stats = self._stats
-        self._queue = queue
-        # Bound push method: the one-attribute-load schedule call used
-        # by the hot triggers (succeed / sleep / _schedule).
-        self._push = queue.push
-        # Exact-type check: the near-window push of the stock wheel is
-        # inlined at the hottest trigger sites (succeed / sleep), which
-        # is only sound when push() has the stock implementation.
-        self._wheel = queue if type(queue) is TimingWheelQueue else None
+        #: The schedule queue; its near-window push is inlined at the
+        #: hottest trigger sites (succeed / sleep) and the run loop
+        #: walks its buckets directly.
+        self._wheel = TimingWheelQueue(self._stats)
         self._active = False
         self._sleep_pool: list = []
         #: Structured tracer (see repro.obs), or None.  Every
@@ -589,11 +570,6 @@ class Engine:
         """Counters: events fired / cancelled, heap compactions, ..."""
         self._stats.sleeps_reused = self._sleeps_reused
         return self._stats
-
-    @property
-    def scheduler(self) -> str:
-        """Name of the schedule queue implementation in use."""
-        return self._queue.name
 
     def reset_stats(self) -> None:
         """Zero the engine's counters (the clock and queue are untouched).
@@ -633,10 +609,9 @@ class Engine:
     def heap_size(self) -> int:
         """Entries in the schedule queue (including cancelled ones).
 
-        The name predates the pluggable queue; it reports whichever
-        implementation the engine runs on.
+        The name predates the timing wheel.
         """
-        return len(self._queue)
+        return len(self._wheel)
 
     # -- event factories --------------------------------------------
     def event(self) -> Event:
@@ -676,7 +651,7 @@ class Engine:
             raise SimulationError(f"negative sleep delay: {delay}")
         when = self._now + delay
         wheel = self._wheel
-        if wheel is not None and when < wheel._epoch_end:
+        if when < wheel._epoch_end:
             # Inlined near-window wheel push (the hottest schedule op).
             wheel._len += 1
             bucket = wheel._buckets.get(when)
@@ -686,7 +661,7 @@ class Engine:
             else:
                 bucket.append(ev)
         else:
-            self._push(ev, when)
+            wheel.push(ev, when)
         return ev
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -708,7 +683,7 @@ class Engine:
 
     # -- scheduling --------------------------------------------------
     def _schedule(self, event: Event, delay: int = 0) -> None:
-        self._push(event, self._now + delay)
+        self._wheel.push(event, self._now + delay)
 
     def call_at(self, when: int, fn: Callable[[], None]) -> Event:
         """Run ``fn`` at absolute time ``when`` (must not be in the past)."""
@@ -742,10 +717,7 @@ class Engine:
         limit = until if until is not None else _NO_LIMIT
         fired = 0
         try:
-            if self._wheel is not None:
-                fired = self._run_wheel(limit)
-            else:
-                fired = self._run_generic(limit)
+            fired = self._fire_until(limit)
             if until is not None and self._now < until:
                 self._now = until
         finally:
@@ -754,28 +726,37 @@ class Engine:
             if gc_was_enabled:
                 gc.enable()
 
-    # The two loop bodies below are intentionally the same code twice:
-    # _run_generic speaks the EventQueue interface (one pop_batch call
-    # per timestamp), _run_wheel walks the stock wheel's buckets
-    # directly to shave the per-batch call and tuple from the hottest
-    # loop in the simulator.  Keep their firing semantics in sync;
-    # tests/test_sim_queues.py pins both to identical schedules.
-    def _run_generic(self, limit: int) -> int:
+    def _fire_until(self, limit: int) -> int:
+        """The run loop: fire every batch up to ``limit``, return the
+        count of events fired."""
+        wheel = self._wheel
         pool = self._sleep_pool
-        pop_batch = self._queue.pop_batch
         fired = 0
         while True:
-            popped = pop_batch(limit)
-            if popped is None:
+            # Re-read per iteration: cascade and compaction replace
+            # the wheel's internal containers.
+            whens = wheel._whens
+            if not whens:
+                if not wheel._cascade():
+                    break
+                continue
+            when = whens[0]
+            if when > limit:
                 break
-            when, batch = popped
+            if len(whens) == 1:
+                del whens[0]
+            else:
+                heappop(whens)
+            batch = wheel._buckets.pop(when)
+            queued = len(batch)
+            wheel._len -= queued
             # Batch firing: every event scheduled for this instant, in
             # schedule order, with Event._process_callbacks inlined.
             # The clock is set once up front and rolled back in the
             # (rare) case the whole batch turned out to be cancelled.
             prev_now = self._now
             self._now = when
-            live = len(batch)
+            live = queued
             for event in batch:
                 if event.__class__ is _PooledSleep:
                     # Pooled timers stay TRIGGERED for life and fire
@@ -809,6 +790,13 @@ class Engine:
                     # A process died with no one waiting on it:
                     # surface the error, never silently.
                     raise event._value
+            if live == queued:
+                fired += live
+                continue
+            # Dropped cancelled entries leave the queue's dead count.
+            # Clamped: a compaction inside this batch already reset it.
+            dead = wheel._dead - (queued - live)
+            wheel._dead = dead if dead > 0 else 0
             if live:
                 fired += live
             else:
@@ -817,58 +805,6 @@ class Engine:
                 self._now = prev_now
         return fired
 
-    def _run_wheel(self, limit: int) -> int:
-        wheel = self._wheel
-        pool = self._sleep_pool
-        fired = 0
-        while True:
-            # Re-read per iteration: cascade and compaction replace
-            # the wheel's internal containers.
-            whens = wheel._whens
-            if not whens:
-                if not wheel._cascade():
-                    break
-                continue
-            when = whens[0]
-            if when > limit:
-                break
-            if len(whens) == 1:
-                del whens[0]
-            else:
-                heappop(whens)
-            batch = wheel._buckets.pop(when)
-            wheel._len -= len(batch)
-            prev_now = self._now
-            self._now = when
-            live = len(batch)
-            for event in batch:
-                if event.__class__ is _PooledSleep:
-                    callbacks = event.callbacks
-                    if callbacks is None:
-                        live -= 1
-                        continue
-                    for fn in callbacks:
-                        fn(event)
-                    callbacks.clear()
-                    pool.append(event)
-                    continue
-                if event._state == _CANCELLED:
-                    live -= 1
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._state = _PROCESSED
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                elif not event._ok and isinstance(event, Process):
-                    raise event._value
-            if live:
-                fired += live
-            else:
-                self._now = prev_now
-        return fired
-
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
-        return self._queue.peek_when()
+        return self._wheel.peek_when()

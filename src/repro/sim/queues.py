@@ -1,87 +1,34 @@
-"""Pluggable schedule queues for the simulation engine.
+"""The simulation engine's schedule queue: a hierarchical timing wheel.
 
 The engine's firing order contract is ``(when, schedule-order)``: of
 two scheduled events the earlier ``when`` fires first, and within one
-``when`` the event scheduled first fires first.  Everything else --
-representation, compaction policy, batching -- is an implementation
-choice, so it lives behind the :class:`EventQueue` interface and is
-selected per engine with ``Engine(scheduler=...)``.
+``when`` the event scheduled first fires first.
 
-Two implementations ship:
+:class:`TimingWheelQueue` meets it with a hierarchical timing wheel /
+calendar queue: events within a near *horizon* live in exact
+per-timestamp FIFO buckets keyed by a min-heap of **distinct**
+timestamps; events beyond the horizon overflow into per-epoch far
+buckets that cascade into the near structure as the clock advances.
+Same-``when`` events need no sequence numbers (bucket order is schedule
+order), pushes to an existing timestamp are a plain ``list.append``,
+and the whole bucket drains as one batch.  The engine's run loop walks
+these buckets directly (see :meth:`repro.sim.engine.Engine.run`).
 
-* :class:`PackedHeapQueue` -- the reference implementation: a binary
-  heap of ``(key, event)`` 2-tuples with the integer key
-  ``(when << 40) | seq`` (one C-level int comparison per sift step).
-  ``seq`` is globally unique and bounded below ``2**40`` (guarded), so
-  the int order *is* the ``(when, seq)`` order.
-* :class:`TimingWheelQueue` -- a hierarchical timing wheel / calendar
-  queue: events within a near *horizon* live in exact per-timestamp
-  FIFO buckets keyed by a min-heap of **distinct** timestamps; events
-  beyond the horizon overflow into per-epoch far buckets that cascade
-  into the near structure as the clock advances.  Same-``when`` events
-  need no sequence numbers (bucket order is schedule order), pushes to
-  an existing timestamp are a plain ``list.append``, and the whole
-  bucket drains as one batch -- which is what makes it faster than the
-  heap on the simulator's bursty, clustered timestamp distributions.
-
-Both queues count cancelled entries they still hold and lazily compact
+The queue counts cancelled entries it still holds and lazily compacts
 once the dead dominate the live (see :data:`COMPACT_MIN_DEAD`), so
 cancel-heavy overload runs do not drag dead entries around forever.
 
-Determinism: the two implementations produce byte-identical firing
-schedules -- ``tests/test_sim_queues.py`` pins this down directly and
-the golden-equivalence suite pins it end-to-end.
-
-The process-wide default is :data:`DEFAULT_SCHEDULER` and can be
-overridden with the ``REPRO_SIM_SCHEDULER`` environment variable
-(``heap`` or ``wheel``) -- the CI scheduler matrix runs the test suite
-under both.
+Determinism: ``tests/test_sim_queues.py`` cross-checks the firing order
+against a packed-key binary-heap reference on seeded random schedules,
+and the golden-equivalence suite pins it end-to-end.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import List, Optional, Tuple
-
-from repro import vector
+from typing import List, Optional
 
 _CANCELLED = 3  # mirrors repro.sim.engine's event-state constant
-
-#: Mirrors ``vector.ENABLED``; selects the np.sort heap rebuild below.
-_VEC_ON = False
-
-#: Below this many keys the stdlib heapify beats array round-tripping.
-_VECTOR_MIN_KEYS = 16
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _VEC_ON
-    _VEC_ON = enabled
-
-
-def _heapify_ints(values: List[int]) -> List[int]:
-    """Build a min-heap of distinct ints (wheel timestamps / epochs).
-
-    Vector mode returns the ascending np.sort -- a sorted list *is* a
-    valid binary min-heap, and since only pop order is observable (and
-    the keys are distinct), later heappush/heappop behave identically
-    on either layout.  Raw ns timestamps fit int64 comfortably; a
-    hypothetical overflow falls back to the reference heapify.
-    """
-    if _VEC_ON and len(values) >= _VECTOR_MIN_KEYS:
-        np = vector.numpy()
-        try:
-            return np.sort(np.asarray(values, dtype=np.int64)).tolist()
-        except OverflowError:  # pragma: no cover - >2**63 ns timestamps
-            pass
-    heapq.heapify(values)
-    return values
-
-#: Heap keys pack (when, seq) as ``(when << TIME_SHIFT) | seq``.
-TIME_SHIFT = 40
-SEQ_LIMIT = 1 << TIME_SHIFT
 
 #: Compaction policy: rebuild the structure when more than this many
 #: cancelled entries are queued *and* they outnumber the live ones.
@@ -94,124 +41,7 @@ COMPACT_MIN_DEAD = 64
 WHEEL_HORIZON = 1 << 20
 
 
-class EventQueue:
-    """Interface for engine schedule queues.
-
-    Implementations order events by ``(when, push order)`` and must
-    provide:
-
-    * :meth:`push` -- enqueue a triggered event for ``when`` (never in
-      the past).
-    * :meth:`pop_batch` -- remove and return ``(when, events)`` for the
-      earliest ``when <= limit``, with *every* queued event at that
-      timestamp in push order, or None.  Returned lists may contain
-      cancelled entries; the caller skips them.
-    * :meth:`peek_when` -- earliest queued timestamp, or None.
-    * :meth:`note_cancelled` -- a queued event was cancelled in place;
-      the queue may compact lazily.
-    * ``len(queue)`` -- queued entries, including cancelled ones.
-
-    ``stats`` (an :class:`~repro.sim.engine.EngineStats`) is attached
-    by the engine; implementations bump ``heap_compactions`` on every
-    lazy rebuild.
-    """
-
-    name = "abstract"
-
-    stats = None
-
-    def push(self, event, when: int) -> None:
-        raise NotImplementedError
-
-    def pop_batch(self, limit: int) -> Optional[Tuple[int, list]]:
-        raise NotImplementedError
-
-    def peek_when(self) -> Optional[int]:
-        raise NotImplementedError
-
-    def note_cancelled(self, event) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class PackedHeapQueue(EventQueue):
-    """The reference queue: a binary heap of packed-int-keyed entries."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_seq", "_dead", "stats")
-
-    def __init__(self):
-        self._heap: List[tuple] = []
-        self._seq = 0
-        #: Cancelled entries still sitting in the heap.
-        self._dead = 0
-        self.stats = None
-
-    def push(self, event, when: int) -> None:
-        seq = self._seq + 1
-        if seq >= SEQ_LIMIT:  # pragma: no cover - 2**40 events
-            from repro.sim.engine import SimulationError
-            raise SimulationError("event sequence space exhausted")
-        self._seq = seq
-        heapq.heappush(self._heap, ((when << TIME_SHIFT) | seq, event))
-
-    def pop_batch(self, limit: int) -> Optional[Tuple[int, list]]:
-        heap = self._heap
-        while heap:
-            key, event = heap[0]
-            when = key >> TIME_SHIFT
-            if when > limit:
-                return None
-            if event._state == _CANCELLED:
-                # Withdrawn after scheduling: drop without firing.
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            heapq.heappop(heap)
-            batch = [event]
-            # Batch firing: drain every event scheduled for this same
-            # instant in one dispatch (they are contiguous at the heap
-            # top because the seq bits sit below the time bits).
-            limit_key = ((when + 1) << TIME_SHIFT)
-            while heap and heap[0][0] < limit_key:
-                batch.append(heapq.heappop(heap)[1])
-            return when, batch
-        return None
-
-    def peek_when(self) -> Optional[int]:
-        heap = self._heap
-        while heap:
-            key, event = heap[0]
-            if event._state != _CANCELLED:
-                return key >> TIME_SHIFT
-            heapq.heappop(heap)
-            self._dead -= 1
-        return None
-
-    def note_cancelled(self, event) -> None:
-        dead = self._dead + 1
-        self._dead = dead
-        if dead > COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without its cancelled entries (in place, so
-        any loop holding the list keeps seeing the same object)."""
-        heap = self._heap
-        heap[:] = [entry for entry in heap if entry[1]._state != _CANCELLED]
-        heapq.heapify(heap)
-        self._dead = 0
-        if self.stats is not None:
-            self.stats.heap_compactions += 1
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class TimingWheelQueue(EventQueue):
+class TimingWheelQueue:
     """Hierarchical timing wheel: exact near buckets, far-epoch overflow.
 
     *Near* events (``when < epoch_end``) live in ``_buckets``, a dict
@@ -222,7 +52,7 @@ class TimingWheelQueue(EventQueue):
     hit plus a list append.
 
     *Far* events overflow into ``_far``: per-epoch dicts of the same
-    shape (epoch = ``when // horizon``).  When the near structure
+    shape (epoch = ``when // WHEEL_HORIZON``).  When the near structure
     drains, the earliest far epoch cascades: its buckets become the
     near buckets and ``epoch_end`` advances to the epoch's end.  The
     cascade preserves FIFO order per timestamp (bucket lists move
@@ -230,23 +60,22 @@ class TimingWheelQueue(EventQueue):
     every far timestamp is >= ``epoch_end`` > every near timestamp.
     """
 
-    name = "wheel"
-
     __slots__ = ("_buckets", "_whens", "_far", "_far_epochs", "_epoch_end",
-                 "_horizon", "_len", "_dead", "stats")
+                 "_len", "_dead", "_stats")
 
-    def __init__(self, horizon: int = WHEEL_HORIZON):
-        if horizon < 1:
-            raise ValueError(f"wheel horizon must be >= 1, got {horizon}")
+    def __init__(self, stats):
         self._buckets: dict = {}
         self._whens: List[int] = []
         self._far: dict = {}
         self._far_epochs: List[int] = []
-        self._epoch_end = horizon
-        self._horizon = horizon
+        self._epoch_end = WHEEL_HORIZON
         self._len = 0
+        #: Cancelled entries still queued: bumped by note_cancelled,
+        #: decremented by the engine's run loop as it drops them from a
+        #: popped batch, and reset by each compaction.
         self._dead = 0
-        self.stats = None
+        #: The owning engine's EngineStats (bumps heap_compactions).
+        self._stats = stats
 
     def push(self, event, when: int) -> None:
         self._len += 1
@@ -258,7 +87,7 @@ class TimingWheelQueue(EventQueue):
             else:
                 bucket.append(event)
             return
-        epoch = when // self._horizon
+        epoch = when // WHEEL_HORIZON
         sub = self._far.get(epoch)
         if sub is None:
             self._far[epoch] = {when: [event]}
@@ -275,28 +104,16 @@ class TimingWheelQueue(EventQueue):
         while self._far_epochs:
             epoch = heapq.heappop(self._far_epochs)
             sub = self._far.pop(epoch)
-            self._epoch_end = (epoch + 1) * self._horizon
+            self._epoch_end = (epoch + 1) * WHEEL_HORIZON
             if sub:
                 # Near timestamps are all < the old epoch_end and far
                 # ones all >= it, so the dicts are disjoint.
                 self._buckets.update(sub)
-                self._whens = _heapify_ints(list(self._buckets))
+                whens = list(self._buckets)
+                heapq.heapify(whens)
+                self._whens = whens
                 return True
         return False
-
-    def pop_batch(self, limit: int) -> Optional[Tuple[int, list]]:
-        whens = self._whens
-        while not whens:
-            if not self._cascade():
-                return None
-            whens = self._whens
-        when = whens[0]
-        if when > limit:
-            return None
-        heapq.heappop(whens)
-        batch = self._buckets.pop(when)
-        self._len -= len(batch)
-        return when, batch
 
     def peek_when(self) -> Optional[int]:
         while not self._whens:
@@ -320,7 +137,9 @@ class TimingWheelQueue(EventQueue):
                 buckets[when] = kept
                 live += len(kept)
         self._buckets = buckets
-        self._whens = _heapify_ints(list(buckets))
+        whens = list(buckets)
+        heapq.heapify(whens)
+        self._whens = whens
         far = {}
         for epoch, sub in self._far.items():
             kept_sub = {}
@@ -332,40 +151,12 @@ class TimingWheelQueue(EventQueue):
             if kept_sub:
                 far[epoch] = kept_sub
         self._far = far
-        self._far_epochs = _heapify_ints(list(far))
+        far_epochs = list(far)
+        heapq.heapify(far_epochs)
+        self._far_epochs = far_epochs
         self._len = live
         self._dead = 0
-        if self.stats is not None:
-            self.stats.heap_compactions += 1
+        self._stats.heap_compactions += 1
 
     def __len__(self) -> int:
         return self._len
-
-
-#: name -> implementation, for ``Engine(scheduler="...")``.
-SCHEDULERS = {
-    PackedHeapQueue.name: PackedHeapQueue,
-    TimingWheelQueue.name: TimingWheelQueue,
-}
-
-#: The process-wide default scheduler.  The wheel is the default: it is
-#: byte-equivalent to the heap (golden-pinned) and faster on the hot
-#: paths; set REPRO_SIM_SCHEDULER=heap to fall back to the reference.
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SIM_SCHEDULER", "wheel")
-
-
-def make_queue(scheduler=None) -> EventQueue:
-    """Resolve ``scheduler`` (None, a name, a class, or an instance)."""
-    if scheduler is None:
-        scheduler = DEFAULT_SCHEDULER
-    if isinstance(scheduler, EventQueue):
-        return scheduler
-    if isinstance(scheduler, type) and issubclass(scheduler, EventQueue):
-        return scheduler()
-    try:
-        cls = SCHEDULERS[scheduler]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; choose from "
-            f"{sorted(SCHEDULERS)} or pass an EventQueue") from None
-    return cls()

@@ -1,11 +1,10 @@
 """Vectorised data-plane kernel selection (DESIGN.md §15).
 
 The simulator's numeric hot kernels -- line-stream replay, crash-plan
-hashing, latency percentiles, wheel compaction -- each ship in two
-implementations: the pure-Python *reference* (always available, always
-the semantics) and a numpy-backed *vector* kernel that must produce
-bit-identical outputs.  This module is the single switchboard deciding
-which one is bound:
+hashing, latency percentiles -- each ship in two implementations: the
+pure-Python *reference* (always available, always the semantics) and a
+numpy-backed *vector* kernel that must produce bit-identical outputs.
+This module is the single switchboard deciding which one is bound:
 
 * numpy importable **and** ``REPRO_VECTOR`` unset/enabled -> vector
   kernels are selected at import;

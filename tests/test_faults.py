@@ -159,6 +159,44 @@ class TestDmaFaultSemantics:
             "every failed/stranded SN must be reported for poisoning"
         assert ch.queue_depth == 0
 
+    def test_fault_plan_installed_on_busy_channel(self, node):
+        """A plan installed mid-flight applies to every descriptor not
+        yet served, without disturbing FIFO completion or SN order."""
+        ch = node.dma.channel(0)
+        consulted = []
+
+        class RecordingPlan(FaultPlan):
+            def descriptor_fault(self, channel, desc):
+                consulted.append(desc.sn)
+                return super().descriptor_fault(channel, desc)
+
+        log = []
+        ch.on_error = lambda c, sns: log.append(("error", sns))
+        ch.on_completion = lambda c: log.append(("complete",
+                                                 c.completion_sn))
+        def body():
+            descs = [DmaDescriptor(65536, write=True) for _ in range(6)]
+            done_order = []
+            yield from ch.submit(descs)
+            for d in descs:
+                d.done.add_callback(lambda ev: done_order.append(ev.value.sn))
+            yield descs[0].done
+            ch.fault_plan = RecordingPlan(
+                schedule=(TransferErrorFault(0, 5),))
+            for d in descs[1:]:
+                yield d.done
+            return descs, done_order
+        descs, done_order = run_proc(node.engine, body())
+        assert done_order == [1, 2, 3, 4, 5, 6], "completions stay FIFO"
+        assert consulted == [2, 3, 4, 5, 6], \
+            "every descriptor fetched after the install is fault-checked"
+        assert [d.status for d in descs] == ["ok"] * 4 + ["error", "ok"]
+        completed = [sn for kind, sn in log if kind == "complete"]
+        assert completed == [1, 2, 3, 4, 6], "completion SN is monotonic"
+        assert log.index(("error", (5,))) < log.index(("complete", 6)), \
+            "the failed SN is reported before a completion covers it"
+        assert ch.error_sns == {5} and ch.queue_depth == 0
+
     def test_halted_channel_serves_again_after_reset(self, node):
         plan = FaultPlan(schedule=(ChannelHaltFault(0, 1),))
         plan.install(node)

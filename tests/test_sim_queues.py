@@ -1,50 +1,32 @@
-"""Scheduler edge cases, parametrized over both EventQueue implementations.
+"""Schedule-queue edge cases for the engine's timing wheel.
 
-The engine's firing-order contract is ``(when, schedule-order)``; the
-packed heap and the timing wheel must be indistinguishable through it.
-These tests drive the corners where the two representations differ
-most: same-timestamp FIFO runs, cancel-heavy compaction, far-future
-wheel overflow (epoch cascading), and zero-delay self-rescheduling.
+The engine's firing-order contract is ``(when, schedule-order)``.
+These tests drive the corners of the wheel representation: same-
+timestamp FIFO runs, cancel-heavy compaction and its dead-entry
+accounting, far-future overflow (epoch cascading), and zero-delay
+self-rescheduling.  A seeded random-schedule cross-check compares the
+whole firing order against a small packed-key binary-heap reference.
 """
 
+import heapq
+import itertools
 import random
 
 import pytest
 
-from repro.sim import Engine, PackedHeapQueue, TimingWheelQueue
-from repro.sim.queues import WHEEL_HORIZON, make_queue
-
-SCHEDULERS = ("heap", "wheel")
-
-
-@pytest.fixture(params=SCHEDULERS)
-def scheduler(request):
-    return request.param
+from repro.sim import Engine
+from repro.sim.queues import COMPACT_MIN_DEAD, WHEEL_HORIZON
 
 
 @pytest.fixture
-def engine(scheduler):
-    return Engine(scheduler=scheduler)
+def engine():
+    return Engine()
 
 
 def run_proc(engine, gen):
     proc = engine.process(gen)
     engine.run()
     return proc
-
-
-class TestSelection:
-    def test_scheduler_property_reports_choice(self, scheduler):
-        assert Engine(scheduler=scheduler).scheduler == scheduler
-
-    def test_make_queue_accepts_class_and_instance(self):
-        assert isinstance(make_queue(PackedHeapQueue), PackedHeapQueue)
-        wheel = TimingWheelQueue(horizon=128)
-        assert make_queue(wheel) is wheel
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Engine(scheduler="calendar-of-lies")
 
 
 class TestSameTimestampFifo:
@@ -103,14 +85,40 @@ class TestCancelHeavyCompaction:
         run_proc(engine, body())
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_far_future_cancellations_compact_too(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_far_future_cancellations_compact_too(self, engine):
         def body():
             for i in range(2000):
                 engine.timeout(10 * WHEEL_HORIZON + i).cancel()
                 yield engine.sleep(1)
         run_proc(engine, body())
         assert engine.heap_size < 200
+
+    def test_drained_cancel_heavy_run_leaves_no_dead_entries(self, engine):
+        # 100 cancels compact once (at COMPACT_MIN_DEAD + 1) and leave
+        # the rest for the run loop to drop; a contract-violating
+        # cancel of a pooled sleep is dropped the same way.
+        for t in [engine.timeout(10 + i) for i in range(100)]:
+            t.cancel()
+        engine.sleep(5).cancel()
+        engine.run()
+        assert engine.heap_size == 0
+        assert engine._wheel._dead == 0
+
+    def test_dropped_entries_do_not_trigger_later_compaction(self, engine):
+        # Rounds below the compaction threshold, each drained by run():
+        # the dropped entries must leave the dead count, or one later
+        # cancel on a small live queue would compact it for nothing.
+        rounds = COMPACT_MIN_DEAD // 10 + 1
+        for _ in range(rounds):
+            for t in [engine.timeout(10) for _ in range(10)]:
+                t.cancel()
+            engine.run()
+        assert engine.stats.heap_compactions == 0
+        live = [engine.timeout(100 + i) for i in range(10)]
+        live[0].cancel()
+        assert engine.stats.heap_compactions == 0
+        engine.run()
+        assert engine._wheel._dead == 0
 
 
 class TestWheelOverflow:
@@ -183,27 +191,122 @@ class TestZeroDelaySelfReschedule:
         assert order == ["a", "b"] * 3
 
 
-class TestCrossImplementationEquivalence:
-    def test_random_schedules_fire_identically(self):
-        def trace(scheduler):
-            engine = Engine(scheduler=scheduler)
-            rng = random.Random(1234)
-            fired = []
-            def waiter(i, delay, respawn):
-                yield engine.timeout(delay)
-                fired.append((i, engine.now))
-                if respawn:
-                    engine.process(waiter(i + 1000, rng.randrange(0, 3000),
-                                          False))
-            cancels = []
-            for i in range(300):
-                delay = rng.choice((0, 1, 7, 100, 100, 2048,
-                                    WHEEL_HORIZON + 13, 3 * WHEEL_HORIZON))
-                engine.process(waiter(i, delay, rng.random() < 0.3))
-                if rng.random() < 0.2:
-                    cancels.append(engine.timeout(rng.randrange(1, 5000)))
-            for t in cancels[::2]:
-                t.cancel()
-            engine.run()
-            return fired
-        assert trace("heap") == trace("wheel")
+# ---------------------------------------------------------------------------
+# Seeded random schedules against a packed-heap reference
+# ---------------------------------------------------------------------------
+class HeapReference:
+    """Firing-order oracle: a binary heap of ``(when << 40) | seq`` keys.
+
+    One int comparison orders two entries by ``(when, schedule-order)``,
+    the engine's contract, with none of the wheel's buckets or epochs.
+    """
+
+    SHIFT = 40
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = itertools.count(1)
+        self._cancelled = set()
+
+    def schedule(self, kind, delay, fn):
+        seq = next(self._seq)
+        key = ((self.now + delay) << self.SHIFT) | seq
+        heapq.heappush(self._heap, (key, fn))
+        return seq
+
+    def cancel(self, handle):
+        self._cancelled.add(handle)
+
+    def run(self):
+        mask = (1 << self.SHIFT) - 1
+        while self._heap:
+            key, fn = heapq.heappop(self._heap)
+            if key & mask in self._cancelled:
+                continue
+            self.now = key >> self.SHIFT
+            fn()
+
+
+class EngineScheduler:
+    """The same scheduling API on a real engine: cancellable timeouts,
+    pooled sleeps, and events triggered at the current instant."""
+
+    def __init__(self):
+        self.engine = Engine()
+
+    @property
+    def now(self):
+        return self.engine.now
+
+    def schedule(self, kind, delay, fn):
+        engine = self.engine
+        if kind == "timeout":
+            ev = engine.timeout(delay)
+        elif kind == "sleep":
+            ev = engine.sleep(delay)
+        else:
+            ev = engine.event().succeed()
+        ev.add_callback(lambda _ev: fn())
+        return ev
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def run(self):
+        self.engine.run()
+
+
+DELAYS = (0, 1, 7, 100, 100, 2048, WHEEL_HORIZON - 1, WHEEL_HORIZON + 13,
+          3 * WHEEL_HORIZON, 7 * WHEEL_HORIZON + 5)
+
+
+def random_schedule(sched, seed):
+    """Drive ``sched`` through a seeded schedule; returns the firing
+    trace.  Firing callbacks arm more timers and cancel pending ones,
+    so any divergence in firing order also diverges the RNG stream."""
+    rng = random.Random(seed)
+    fired = []
+    pending = {}  # timer id -> handle, for armed cancellable timers
+    ids = itertools.count()
+
+    def cancel_one():
+        victim = rng.choice(sorted(pending))
+        sched.cancel(pending.pop(victim))
+
+    def arm(depth):
+        tid = next(ids)
+        kind = rng.choice(("timeout", "timeout", "sleep", "now"))
+        delay = 0 if kind == "now" else rng.choice(DELAYS)
+
+        def fire():
+            pending.pop(tid, None)
+            fired.append((tid, sched.now))
+            if depth < 3:
+                for _ in range(rng.randrange(3)):
+                    arm(depth + 1)
+            if pending and rng.random() < 0.4:
+                cancel_one()
+
+        handle = sched.schedule(kind, delay, fire)
+        if kind == "timeout":
+            pending[tid] = handle
+
+    for _ in range(300):
+        arm(0)
+        if pending and rng.random() < 0.3:
+            cancel_one()
+    sched.run()
+    return fired
+
+
+class TestHeapReferenceEquivalence:
+    @pytest.mark.parametrize("seed", [1234, 7, 2024])
+    def test_random_schedules_fire_identically(self, seed):
+        sched = EngineScheduler()
+        fired = random_schedule(sched, seed)
+        assert fired == random_schedule(HeapReference(), seed)
+        assert len(fired) > 300
+        stats = sched.engine.stats
+        assert stats.events_cancelled > 0 and stats.heap_compactions > 0
+        assert sched.engine.heap_size == 0
