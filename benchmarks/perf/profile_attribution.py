@@ -2,8 +2,7 @@
 
 The perf trajectory (``BENCH_sim_perf.json``) tells us *that* a sweep
 got slower or faster; it does not say *where* the time goes.  This
-script profiles the two wall-clock units the vectorised data-plane
-(DESIGN.md §15) targets --
+script profiles two tracked wall-clock units --
 
 * the serial full-payload fig09 throughput-latency sweep, and
 * the pruned line-granularity crash sweep (``crash_prune``),
@@ -12,7 +11,7 @@ script profiles the two wall-clock units the vectorised data-plane
 top-level package directory a frame's file lives in: ``hw``, ``crash``,
 ``sim``, ``analysis``, ...), plus the top functions by tottime.  The
 breakdown is committed as ``PROFILE_attribution.json`` next to this
-script so each PR's kernel choices are justified by numbers in the
+script so each change's kernel choices are justified by numbers in the
 tree, not by folklore.  Usage::
 
     PYTHONPATH=src python benchmarks/perf/profile_attribution.py
@@ -111,13 +110,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=DEFAULT_OUT)
     args = ap.parse_args(argv)
 
-    from repro import vector
-
     duration_us, warmup_us = (400, 100) if args.quick else (1200, 300)
     report = {
         "mode": "quick" if args.quick else "full",
         "python": sys.version.split()[0],
-        "vector": vector.describe(),
         "units": [
             profile_unit("fig09_sweep_serial",
                          lambda: fig09_serial(duration_us, warmup_us)),

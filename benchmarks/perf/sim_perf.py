@@ -51,7 +51,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro import vector                               # noqa: E402
 from repro.analysis.sweep import fxmark_sweep          # noqa: E402
 from repro.sim import Engine                           # noqa: E402
 from repro.workloads.fxmark import measure_single_op   # noqa: E402
@@ -164,79 +163,11 @@ def bench_crash_prune(repeat: int) -> dict:
         return report
 
     wall, report = _best_of(repeat, run)
-    out = {
+    return {
         "wall_s": round(wall, 4),
         "plans": report.total_crash_points,
         "raw_states_log10": round(len(str(report.raw_states)) - 1),
     }
-    if vector.HAVE_NUMPY and vector.ENABLED:
-        # End-to-end A/B for the acceptance headline: the same sweep
-        # with every vectorised kernel forced back to the reference.
-        with vector.forced(False):
-            wall_off, _ = _best_of(repeat, run)
-        out["wall_s_novec"] = round(wall_off, 4)
-        out["vector_speedup"] = round(wall_off / wall, 3) if wall else None
-    return out
-
-
-def bench_vector_kernels(repeat: int) -> dict:
-    """Per-kernel A/B attribution: each vectorised data-plane kernel
-    timed with vectorisation forced on and forced off (same inputs,
-    same process), so the trajectory records where the numpy backend
-    actually pays.  Skipped entirely when numpy is unavailable."""
-    if not vector.HAVE_NUMPY:
-        return {"skipped": "numpy unavailable"}
-
-    import random
-
-    from repro.analysis.metrics import LatencySeries
-    from repro.crash.crashmonkey import CRASH_WORKLOADS, _record_workload
-    from repro.crash.plans import CrashPlanner
-
-    def ab(fn) -> dict:
-        with vector.forced(True):
-            on, _ = _best_of(repeat, fn)
-        with vector.forced(False):
-            off, _ = _best_of(repeat, fn)
-        return {"wall_s_on": round(on, 4), "wall_s_off": round(off, 4),
-                "speedup": round(off / on, 3) if on else None}
-
-    out = {}
-
-    # Line-stream kernels on the crash bench's own recording.
-    desc, driver, iterations = CRASH_WORKLOADS["generic_056"]
-    image, _ = _record_workload("easyio", driver, iterations,
-                                fault_plan=None, lines=True)
-    stream = image.linestream
-
-    def run_planner():
-        return CrashPlanner(stream, per_signature=3, seed=0).plans()
-    with vector.forced(True):
-        plans = run_planner()
-    out["planner"] = ab(run_planner)
-
-    from repro.crash import linestream as ls
-
-    def run_replay():
-        stream._vec_index = None
-        for plan in plans:
-            ls.replay_plan(stream, plan)
-    out["replay"] = ab(run_replay)
-
-    # Percentiles over a 100k-sample series, queried interleaved.
-    rng = random.Random(11)
-    samples = [rng.randrange(10 ** 9) for _ in range(100_000)]
-
-    def run_percentiles():
-        series = LatencySeries()
-        series.samples.extend(samples)
-        acc = 0.0
-        for p in (50, 90, 99, 99.9):
-            acc += series.percentile(p)
-        series.record(samples[0])
-        return acc + series.p99()
-    out["percentiles"] = ab(run_percentiles)
-    return out
 
 
 def bench_replication(repeat: int) -> dict:
@@ -271,7 +202,6 @@ def measure(quick: bool, repeat: int) -> dict:
     fig09 = bench_fig09(repeat, duration_us, warmup_us)
     repl = bench_replication(repeat)
     crash = bench_crash_prune(repeat)
-    vec_env = vector.describe()
     report = {
         "mode": "quick" if quick else "full",
         "host_cpus": os.cpu_count() or 1,
@@ -279,11 +209,7 @@ def measure(quick: bool, repeat: int) -> dict:
         # the same interpreter/kernel configuration; record it.
         "environment": {
             "python": _platform.python_version(),
-            "numpy": vec_env["numpy"],
-            "vector_enabled": vec_env["enabled"],
-            "vector_kill_switch": vec_env["kill_switch"],
         },
-        "vector_kernels": bench_vector_kernels(repeat),
         "engine": engine,
         "figures": {
             "fig08_probe": fig08,
@@ -331,21 +257,6 @@ def check(report: dict, baseline_path: str) -> int:
         print(f"check: no committed baseline at {baseline_path}; skipping")
         return 0
     baseline = entries[-1]
-    # The committed trajectory must be measured with the vectorised
-    # data plane on (entries predating the vector switchboard carry no
-    # environment block and are exempt); a fresh --check run on a
-    # numpy-capable host must not silently gate in reference mode.
-    env = baseline.get("environment")
-    if env is not None and not env.get("vector_enabled"):
-        print("check: FAIL committed baseline entry "
-              f"{baseline.get('label')!r} was measured with "
-              "vectorisation disabled")
-        return 1
-    if vector.HAVE_NUMPY and not report["environment"]["vector_enabled"]:
-        print("check: FAIL numpy is available but vectorisation is "
-              "disabled (REPRO_VECTOR?); the perf gate must measure "
-              "the vectorised data plane")
-        return 1
     if baseline.get("mode") != report["mode"]:
         # Wall times are only comparable at the same sweep size: scale
         # the gate off the freshly measured serial/fast ratio instead.

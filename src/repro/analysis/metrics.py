@@ -7,25 +7,10 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro import vector
-
 #: When a percentile query finds at most this many samples recorded
 #: since the last sorted view, they are insorted incrementally; a
 #: larger backlog re-sorts from scratch (cheaper past this point).
 _INSORT_TAIL_MAX = 64
-
-#: Mirrors ``vector.ENABLED``; when set, LatencySeries keeps its sorted
-#: view as an int64 ndarray (np.sort build, searchsorted tail merge).
-_VEC_ON = False
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _VEC_ON
-    _VEC_ON = enabled
-    # Per-instance sorted views are left alone: both representations
-    # hold the same sorted values, and every consumer below handles
-    # either (mode flips mid-run are fine).
 
 
 @dataclass
@@ -130,13 +115,10 @@ class LatencySeries:
     def record(self, ns: int) -> None:
         self.samples.append(ns)
 
-    def _sorted_samples(self):
+    def _sorted_samples(self) -> List[int]:
         # The sorted view covers a prefix of `samples` (appends -- via
         # record() or directly on the public list -- only grow the
-        # tail); its length tells how much is missing.  The view is a
-        # plain list in reference mode, an int64 ndarray in vector
-        # mode; both hold the same sorted values, so the two paths can
-        # hand off to each other mid-run.
+        # tail); its length tells how much is missing.
         data = self._sorted
         n = len(self.samples)
         if data is not None:
@@ -144,31 +126,9 @@ class LatencySeries:
             if delta == 0:
                 return data
             if 0 < delta <= _INSORT_TAIL_MAX:
-                tail = self.samples[n - delta:]
-                if isinstance(data, list):
-                    for x in tail:
-                        bisect.insort(data, x)
-                    return data
-                np = vector.numpy()
-                try:
-                    # Sorted-tail merge: with an ascending tail and
-                    # 'left' insertion points, equal positions receive
-                    # ascending values, so the result stays sorted.
-                    tail_arr = np.sort(np.asarray(tail, dtype=data.dtype))
-                    idx = np.searchsorted(data, tail_arr)
-                    self._sorted = np.insert(data, idx, tail_arr)
-                    return self._sorted
-                except (TypeError, OverflowError):
-                    pass  # non-int64 tail: rebuild below
-        if _VEC_ON:
-            np = vector.numpy()
-            arr = np.asarray(self.samples)
-            if arr.dtype.kind in "iu":
-                arr.sort()
-                self._sorted = arr
-                return arr
-            # Float or oversized samples: the reference list keeps
-            # Python-object arithmetic (and its exact results).
+                for x in self.samples[n - delta:]:
+                    bisect.insort(data, x)
+                return data
         self._sorted = sorted(self.samples)
         return self._sorted
 
@@ -195,13 +155,7 @@ class LatencySeries:
         hi = math.ceil(k)
         if lo == hi:
             return float(data[lo])
-        if isinstance(data, list):
-            a, b = data[lo], data[hi]
-        else:
-            # ndarray view: pull the two ranks back to Python ints so
-            # the interpolation arithmetic (and its rounding) is the
-            # same expression the reference evaluates.
-            a, b = data[lo].item(), data[hi].item()
+        a, b = data[lo], data[hi]
         return a + (b - a) * (k - lo)
 
     def p50(self) -> float:

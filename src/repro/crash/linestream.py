@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro import vector
 from repro.fs.pmimage import PMImage
 from repro.fs.structures import TornEntry, TornRecord
 
@@ -182,9 +181,9 @@ class LineStream:
 
     def __init__(self):
         self.records: List[Any] = []              # LineStore | FenceRec
-        #: Columnar durability index (vector mode), rebuilt lazily when
-        #: the stream has grown since it was last derived.
-        self._vec_index: Optional["_StreamIndex"] = None
+        #: First-covering-fence list (see ``_covered_at``), rebuilt
+        #: lazily when the stream has grown since it was last derived.
+        self._covered_at: Optional[List[int]] = None
         #: Per-op [start, end) stream positions, appended by the crash
         #: harness runner (ack boundaries for the legality range).
         self.op_bounds: List[Tuple[int, int]] = []
@@ -333,118 +332,55 @@ def _page_lines(data: Any) -> int:
 # ----------------------------------------------------------------------
 # Durability analysis
 # ----------------------------------------------------------------------
-class _StreamIndex:
-    """Columnar durability view of one stream prefix (vector mode).
+def _covered_at(stream: LineStream) -> List[int]:
+    """Per stream position, the seq of the *first* fence that
+    guarantees the store there durable.
 
-    ``covered_at[i]`` is the seq of the *first* fence that guarantees
-    store ``i`` durable (its own seq for immediate/bookkeeping stores,
-    ``n`` if no fence in the stream ever covers it); fences and other
-    non-store positions keep the ``n`` sentinel with ``store_mask``
-    False.  Cancellation is *not* baked in -- whether a store is
-    covered by a fence is independent of which other stores were
-    cancelled, so the cancelled mask is applied at query time and the
-    index stays valid as ``cancel_sns`` arrives.  Built in one O(n)
-    pass; every ``base_durable``/``replay_plan`` query after that is a
-    slice-and-compare over the columns.
+    Immediate/bookkeeping stores carry their own seq, stores no fence
+    ever covers carry ``n`` (the stream length), fences carry -1.  So a
+    store at ``i < point`` is durable at ``point`` iff
+    ``0 <= covered_at[i] < point`` and in flight iff
+    ``covered_at[i] >= point`` (minus the cancelled seqs either way).
+    Cancellation is applied at query time, not baked in: whether a
+    fence covers a store does not depend on which other stores were
+    cancelled, so the cached list stays valid as ``cancel_sns``
+    arrives.  Built in one pass and cached until the stream grows.
     """
-
-    __slots__ = ("n", "store_mask", "covered_at", "page_pid")
-
-    def __init__(self, records: List[Any]):
-        np = vector.numpy()
-        n = len(records)
-        self.n = n
-        self.store_mask = np.zeros(n, dtype=bool)
-        self.covered_at = np.full(n, n, dtype=np.int64)
-        #: Page id for full page-data stores (-1 elsewhere), for the
-        #: last-writer-wins replay dedup.
-        self.page_pid = np.full(n, -1, dtype=np.int64)
-        pending_cpu: List[int] = []
-        pending_dma: Dict[int, List[Tuple[int, int]]] = {}
-        for i, rec in enumerate(records):
-            if isinstance(rec, LineStore):
-                self.store_mask[i] = True
-                if rec.mech == "page-data":
-                    self.page_pid[i] = rec.obj[1]
-                if rec.immediate:
-                    self.covered_at[i] = i
-                elif rec.dep is None:
-                    pending_cpu.append(i)
-                else:
-                    ch, sn = rec.dep
-                    pending_dma.setdefault(ch, []).append((sn, i))
-            elif rec.scope is None:
-                for seq in pending_cpu:
-                    self.covered_at[seq] = i
-                pending_cpu.clear()
-            else:
-                ch, covered = rec.scope
-                keep = []
-                for sn, seq in pending_dma.get(ch, ()):
-                    if sn <= covered:
-                        self.covered_at[seq] = i
-                    else:
-                        keep.append((sn, seq))
-                if ch in pending_dma:
-                    pending_dma[ch] = keep
-
-
-def _stream_index(stream: LineStream) -> _StreamIndex:
-    idx = stream._vec_index
-    if idx is None or idx.n != len(stream.records):
-        idx = _StreamIndex(stream.records)
-        stream._vec_index = idx
-    return idx
-
-
-def _durable_mask(stream: LineStream, point: int):
-    """Bool column over ``records[:point]``: guaranteed-durable stores."""
-    np = vector.numpy()
-    idx = _stream_index(stream)
-    mask = idx.store_mask[:point] & (idx.covered_at[:point] < point)
-    if stream.cancelled:
-        dead = [s for s in stream.cancelled if s < point]
-        if dead:
-            mask[np.asarray(dead, dtype=np.int64)] = False
-    return mask
-
-
-def _base_durable_ref(stream: LineStream, point: int) -> Set[int]:
-    durable: Set[int] = set()
+    records = stream.records
+    n = len(records)
+    cov = stream._covered_at
+    if cov is not None and len(cov) == n:
+        return cov
+    cov = [n] * n
     pending_cpu: List[int] = []
     pending_dma: Dict[int, List[Tuple[int, int]]] = {}
-    cancelled = stream.cancelled
-    for rec in stream.records[:point]:
+    for i, rec in enumerate(records):
         if isinstance(rec, LineStore):
-            if rec.seq in cancelled:
-                continue
             if rec.immediate:
-                durable.add(rec.seq)
+                cov[i] = i
             elif rec.dep is None:
-                pending_cpu.append(rec.seq)
+                pending_cpu.append(i)
             else:
                 ch, sn = rec.dep
-                pending_dma.setdefault(ch, []).append((sn, rec.seq))
+                pending_dma.setdefault(ch, []).append((sn, i))
+            continue
+        cov[i] = -1
+        if rec.scope is None:
+            for seq in pending_cpu:
+                cov[seq] = i
+            pending_cpu.clear()
         else:
-            if rec.scope is None:
-                durable.update(pending_cpu)
-                pending_cpu.clear()
-            else:
-                ch, covered = rec.scope
+            ch, covered = rec.scope
+            if ch in pending_dma:
                 keep = []
-                for sn, seq in pending_dma.get(ch, ()):
+                for sn, seq in pending_dma[ch]:
                     if sn <= covered:
-                        durable.add(seq)
+                        cov[seq] = i
                     else:
                         keep.append((sn, seq))
-                if keep or ch in pending_dma:
-                    pending_dma[ch] = keep
-    return durable
-
-
-def _base_durable_np(stream: LineStream, point: int) -> Set[int]:
-    np = vector.numpy()
-    return set(np.nonzero(_durable_mask(stream, point))[0].tolist())
+                pending_dma[ch] = keep
+    stream._covered_at = cov
+    return cov
 
 
 def base_durable(stream: LineStream, point: int) -> Set[int]:
@@ -454,110 +390,23 @@ def base_durable(stream: LineStream, point: int) -> Set[int]:
     fence covering their SN; immediate/bookkeeping stores are durable
     at issue; cancelled stores are never durable.
     """
-    return _base_durable_kernel(stream, point)
-
-
-def _in_flight_ref(stream: LineStream, point: int) -> List[LineStore]:
-    durable = _base_durable_ref(stream, point)
     cancelled = stream.cancelled
-    return [rec for rec in stream.records[:point]
-            if isinstance(rec, LineStore)
-            and rec.seq not in durable and rec.seq not in cancelled
-            and not rec.immediate]
-
-
-def _in_flight_np(stream: LineStream, point: int) -> List[LineStore]:
-    # Immediate stores carry covered_at == own seq (< point), so the
-    # not-yet-covered test excludes them along with the durable ones.
-    np = vector.numpy()
-    idx = _stream_index(stream)
-    mask = idx.store_mask[:point] & (idx.covered_at[:point] >= point)
-    if stream.cancelled:
-        dead = [s for s in stream.cancelled if s < point]
-        if dead:
-            mask[np.asarray(dead, dtype=np.int64)] = False
-    records = stream.records
-    return [records[i] for i in np.nonzero(mask)[0].tolist()]
+    return {i for i, c in enumerate(_covered_at(stream)[:point])
+            if 0 <= c < point and i not in cancelled}
 
 
 def in_flight(stream: LineStream, point: int) -> List[LineStore]:
     """The stores a crash at ``point`` may drop (or partially apply),
     in issue order."""
-    return _in_flight_kernel(stream, point)
+    cancelled = stream.cancelled
+    records = stream.records
+    return [records[i] for i, c in enumerate(_covered_at(stream)[:point])
+            if c >= point and i not in cancelled]
 
 
 # ----------------------------------------------------------------------
 # Plan replay: stream -> post-crash PMImage
 # ----------------------------------------------------------------------
-def _replay_plan_ref(stream: LineStream, plan) -> PMImage:
-    img = PMImage(record=False)
-    apply_full = _base_durable_ref(stream, plan.point) | set(plan.applied)
-    partials = dict(plan.partials)
-    for rec in stream.records[:plan.point]:
-        if not isinstance(rec, LineStore):
-            continue
-        lines = partials.get(rec.seq)
-        if lines is not None:
-            _apply_partial(img, rec, lines)
-        elif rec.seq in apply_full:
-            _apply_store(img, rec)
-    return img
-
-
-def _replay_plan_np(stream: LineStream, plan) -> PMImage:
-    """Columnar replay: identical image, touching only relevant records.
-
-    The visit set (durable ∪ plan.applied ∪ partial seqs) comes from
-    array compares over the cached index instead of re-walking fences
-    per plan; full page-data applies are deduplicated last-writer-wins
-    per page (a full apply is a plain assignment, so only the final one
-    is observable) -- except for pages also targeted by a partial,
-    whose merge-over-current-content semantics depend on every earlier
-    apply.  Records are applied in ascending seq order, so every
-    mechanism's effect sequence matches the reference walk exactly.
-    """
-    np = vector.numpy()
-    img = PMImage(record=False)
-    point = plan.point
-    idx = _stream_index(stream)
-    visit = _durable_mask(stream, point)
-    if plan.applied:
-        chosen = np.fromiter(plan.applied, dtype=np.int64,
-                             count=len(plan.applied))
-        visit[chosen[chosen < point]] = True
-    partials = dict(plan.partials)
-    if partials:
-        torn = np.fromiter(partials.keys(), dtype=np.int64,
-                           count=len(partials))
-        visit[torn[torn < point]] = True
-    order = np.nonzero(visit)[0]
-    records = stream.records
-    skip: Set[int] = set()
-    page_pos = order[idx.page_pid[order] >= 0]
-    if len(page_pos) > 1:
-        partial_pids = {int(idx.page_pid[s]) for s in partials
-                        if 0 <= s < point and idx.page_pid[s] >= 0}
-        last_full: Dict[int, int] = {}
-        for i, pid in zip(page_pos.tolist(),
-                          idx.page_pid[page_pos].tolist()):
-            if i in partials or pid in partial_pids:
-                continue
-            prev = last_full.get(pid)
-            if prev is not None:
-                skip.add(prev)
-            last_full[pid] = i
-    for i in order.tolist():
-        if i in skip:
-            continue
-        rec = records[i]
-        lines = partials.get(i)
-        if lines is not None:
-            _apply_partial(img, rec, lines)
-        else:
-            _apply_store(img, rec)
-    return img
-
-
 def replay_plan(stream: LineStream, plan) -> PMImage:
     """Materialise one crash plan into a fresh (non-recording) image.
 
@@ -565,21 +414,21 @@ def replay_plan(stream: LineStream, plan) -> PMImage:
     plan's point, plus the plan's chosen in-flight subset (fully or as
     a partial line set).
     """
-    return _replay_plan_kernel(stream, plan)
-
-
-#: Kernels bound by :func:`_rebind_kernels`.
-_base_durable_kernel = _base_durable_ref
-_in_flight_kernel = _in_flight_ref
-_replay_plan_kernel = _replay_plan_ref
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _base_durable_kernel, _in_flight_kernel, _replay_plan_kernel
-    _base_durable_kernel = _base_durable_np if enabled else _base_durable_ref
-    _in_flight_kernel = _in_flight_np if enabled else _in_flight_ref
-    _replay_plan_kernel = _replay_plan_np if enabled else _replay_plan_ref
+    img = PMImage(record=False)
+    point = plan.point
+    applied = plan.applied
+    partials = dict(plan.partials)
+    cancelled = stream.cancelled
+    records = stream.records
+    for i, c in enumerate(_covered_at(stream)[:point]):
+        if c < 0:
+            continue
+        lines = partials.get(i)
+        if lines is not None:
+            _apply_partial(img, records[i], lines)
+        elif (c < point and i not in cancelled) or i in applied:
+            _apply_store(img, records[i])
+    return img
 
 
 def replay_full(stream: LineStream) -> PMImage:

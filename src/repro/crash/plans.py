@@ -41,26 +41,21 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import vector
 from repro.crash.linestream import FenceRec, LineStore, LineStream
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-#: Mirrors ``vector.ENABLED``; when set, the planner gathers its dedup
-#: mix values from a precomputed uint64 column (wraparound multiply ==
-#: ``& _MASK``) instead of hashing seqs one at a time.
-_VEC_ON = False
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _VEC_ON
-    _VEC_ON = enabled
-
 
 def _mix(seq: int) -> int:
-    return ((seq + 1) * _MIX) & _MASK
+    """splitmix64 of ``seq + 1``: the per-store addend of the planner's
+    order-free set hash.  The finalizer matters: without it the mix is
+    linear in ``seq``, so a sum over a set reduces to (count, sum of
+    seqs) and distinct states such as {68, 71} and {69, 70} collide."""
+    z = ((seq + 1) * _MIX) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -142,15 +137,6 @@ class CrashPlanner:
         pending_dma: Dict[int, List[LineStore]] = {}
         cancelled = self.stream.cancelled
         records = self.stream.records
-        np = vector.numpy() if _VEC_ON else None
-        # Column of _mix(seq) for every stream position: the uint64
-        # wraparound multiply is exactly the `& _MASK` reduction.  The
-        # column is materialised back to a Python list once -- visit()
-        # runs on small in-flight sets where per-call ndarray fancy
-        # indexing costs more than plain list lookups.
-        mix_col = ((np.arange(1, len(records) + 1, dtype=np.uint64)
-                    * np.uint64(_MIX)).tolist()
-                   if np is not None and records else None)
 
         def make_durable(recs: List[LineStore]) -> None:
             nonlocal durable_hash, n_durable
@@ -171,17 +157,12 @@ class CrashPlanner:
             self.raw_states += _raw_states(flight)
             lo = bisect_right(self._ends, point)
             hi = bisect_right(self._starts, point)
-            seqs = [r.seq for r in flight]
-            if mix_col is not None:
-                mixes = [mix_col[s] for s in seqs]
-            else:
-                mixes = [_mix(s) for s in seqs]
-            mix_of = dict(zip(seqs, mixes))
-            total = sum(mixes)
+            mix_of = {r.seq: _mix(r.seq) for r in flight}
+            total = sum(mix_of.values())
             flight_sig = ",".join(sorted(f"{r.mech}{'+' if r.dep else ''}"
                                          for r in flight))
             for cls, applied, partials, mixsum in \
-                    _candidates_hashed(flight, mix_of, total):
+                    _candidates(flight, mix_of, total):
                 key = ((durable_hash + mixsum) & _MASK,
                        n_durable + len(applied), partials, lo, hi)
                 if key in deduped:
@@ -269,8 +250,8 @@ def _raw_states(flight: List[LineStore]) -> int:
     return raw if flight else 0
 
 
-def _candidates_hashed(flight: List[LineStore], mix_of: Dict[int, int],
-                       total: int):
+def _candidates(flight: List[LineStore], mix_of: Dict[int, int],
+                total: int):
     """Yield ``(cls, applied, partials, mixsum)`` representatives for
     one in-flight set (see the module docstring for the class catalog).
 
@@ -306,12 +287,3 @@ def _candidates_hashed(flight: List[LineStore], mix_of: Dict[int, int],
                     ("hole", tuple(i for i in range(n) if i != n // 2))):
                 yield f"{shape}:{r.mech}", rest, ((r.seq, lines),), rest_sum
 
-
-def _candidates(flight: List[LineStore]):
-    """Hash-free view of :func:`_candidates_hashed` (kept as the plain
-    enumeration API)."""
-    mix_of = {r.seq: _mix(r.seq) for r in flight}
-    total = sum(mix_of.values())
-    for cls, applied, partials, _mixsum in \
-            _candidates_hashed(flight, mix_of, total):
-        yield cls, applied, partials

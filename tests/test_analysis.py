@@ -1,9 +1,22 @@
 """Tests for metrics collection and report rendering."""
 
+import math
+
 import pytest
 
 from repro.analysis import LatencySeries, ThroughputMeter, Timeline
 from repro.analysis.report import banner, fmt_series, fmt_table, sparkline
+
+
+def _percentile_oracle(samples, p):
+    if not samples:
+        return 0.0
+    data = sorted(samples)
+    k = (len(data) - 1) * (p / 100.0)
+    lo, hi = math.floor(k), math.ceil(k)
+    if lo == hi:
+        return float(data[lo])
+    return data[lo] + (data[hi] - data[lo]) * (k - lo)
 
 
 class TestLatencySeries:
@@ -72,9 +85,7 @@ class TestLatencySeries:
                 s.record(v)
                 reference.append(v)
             ref = sorted(reference)
-            # list in reference mode, int64 ndarray in vector mode --
-            # same sorted values either way.
-            assert list(s._sorted_samples()) == ref
+            assert s._sorted_samples() == ref
             assert s.percentile(100) == ref[-1]
             assert s.p50() == pytest.approx(
                 (ref[(len(ref) - 1) // 2] + ref[len(ref) // 2]) / 2)
@@ -85,9 +96,50 @@ class TestLatencySeries:
         for v in [9, 1, 8, 2, 7, 3, 6, 4, 5, 5, 0, 10]:
             s.record(v)
             seen.append(v)
-            assert list(s._sorted_samples()) == sorted(seen)
+            assert s._sorted_samples() == sorted(seen)
             assert s.maximum() == max(seen)
             assert s.mean() == pytest.approx(sum(seen) / len(seen))
+
+    def test_seeded_series_match_sorted_oracle(self):
+        # Linear interpolation over a fresh sorted() copy is the
+        # definition; empty, tiny, tail-sized and large series, ranks
+        # anywhere in (0, 100].
+        import random
+        rng = random.Random(0xFEED)
+        for trial in range(150):
+            n = rng.choice([0, 1, 2, 3, 64, 65, 100, 1000])
+            samples = [rng.randint(0, 10 ** rng.choice([3, 9, 12]))
+                       for _ in range(n)]
+            s = LatencySeries()
+            s.samples.extend(samples)
+            for p in [rng.uniform(1e-6, 100.0) for _ in range(6)] \
+                    + [50.0, 99.0, 100.0]:
+                assert s.percentile(p) == _percentile_oracle(samples, p), \
+                    (trial, p)
+
+    def test_interleaved_record_and_query_insort_tail(self):
+        import random
+        rng = random.Random(5)
+        s = LatencySeries()
+        mirror = []
+        for step in range(200):
+            val = rng.randrange(10 ** 9)
+            s.record(val)
+            mirror.append(val)
+            if step % 3 == 0:
+                for p in (50, 99, 100):
+                    assert s.percentile(p) == _percentile_oracle(mirror, p)
+
+    def test_oversized_ints_stay_exact(self):
+        # Python ints past 64 bits keep exact integer arithmetic up to
+        # the final interpolation.
+        huge = [2 ** 70, 1, 2 ** 80, 7]
+        s = LatencySeries()
+        s.samples.extend(huge)
+        assert s.p50() == _percentile_oracle(huge, 50)
+        assert s.percentile(100) == float(2 ** 80)
+        s.record(2 ** 90)
+        assert s.percentile(100) == float(2 ** 90)
 
     def test_percentile_bounds(self):
         s = LatencySeries()

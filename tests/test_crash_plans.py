@@ -5,16 +5,46 @@ mechanism, deduplication across positions, legality bounds from op
 acks, the raw-state accounting, and seeded determinism of sampling.
 """
 
-from repro.crash.linestream import LineStream, in_flight, replay_plan
+import random
+from bisect import bisect_right
+
+from repro.crash.linestream import (FenceRec, LineStream, base_durable,
+                                    in_flight, replay_plan)
 from repro.crash.plans import CrashPlan, CrashPlanner
 from repro.fs.structures import (FileKind, RenameTxn, TornEntry,
                                  TornRecord, WriteEntry)
+from tests.test_linestream import _synth_stream
 
 
 def _write_entry(pgoff=0, pages=(0, 1), sns=()):
     return WriteEntry(pgoff=pgoff, page_ids=tuple(pages),
                       size_after=4096 * len(pages), mtime=1,
                       sns=tuple(sns))
+
+
+def _candidate_states(flight):
+    """Every ``(applied, partials)`` pair the planner's class catalog
+    yields for one in-flight set, enumerated independently."""
+    iset = frozenset(r.seq for r in flight)
+    states = {(frozenset(), ())}
+    if flight:
+        states.add((iset, ()))
+    for r in flight:
+        rest = iset - {r.seq}
+        states.add((frozenset({r.seq}), ()))
+        states.add((rest, ()))
+        if r.nlines < 2:
+            continue
+        n = r.nlines
+        if r.klass == "record":
+            torn = ((r.seq, tuple(range(max(1, n // 2)))),)
+            states.update({(rest, torn), (frozenset(), torn)})
+        elif r.klass == "data":
+            for lines in ((0,), tuple(range(n // 2)),
+                          tuple(range(n // 2, n)),
+                          tuple(i for i in range(n) if i != n // 2)):
+                states.add((rest, ((r.seq, lines),)))
+    return states
 
 
 def _plans(stream, op_bounds=(), **kw):
@@ -125,6 +155,35 @@ class TestDedupAndBounds:
         assert all(p.lo == 2 and p.hi == 2 for p in final)
         first = [p for p in plans if p.point < mid]
         assert all(p.lo == 0 and p.hi == 1 for p in first)
+
+    def test_exhaustive_mode_keeps_every_distinct_state(self):
+        """One plan per distinct (durable+applied, partials, lo, hi)
+        state: no duplicates, and no real state merged into another by
+        a dedup-hash collision (a linear per-seq mix made sets with
+        equal size and equal seq sum, e.g. {68, 71} and {69, 70},
+        collide)."""
+        rng = random.Random(1)
+        for trial in range(80):
+            stream = _synth_stream(rng)
+            records = stream.records
+            ends = [e for _s, e in stream.op_bounds]
+            starts = [s for s, _e in stream.op_bounds]
+            points = [i for i, r in enumerate(records)
+                      if isinstance(r, FenceRec)
+                      or (r.immediate and i not in stream.cancelled)]
+            expected = set()
+            for pt in points + [len(records)]:
+                durable = base_durable(stream, pt)
+                for applied, partials in _candidate_states(
+                        in_flight(stream, pt)):
+                    expected.add((frozenset(durable | applied), partials,
+                                  bisect_right(ends, pt),
+                                  bisect_right(starts, pt)))
+            plans = CrashPlanner(stream, per_signature=None).plans()
+            got = [(frozenset(base_durable(stream, p.point) | p.applied),
+                    p.partials, p.lo, p.hi) for p in plans]
+            assert len(got) == len(set(got)), trial
+            assert set(got) == expected, trial
 
     def test_raw_states_count(self):
         stream = LineStream()

@@ -3,7 +3,12 @@
 Every filesystem variant must expose identical *semantics* (same
 logical state for the same operation sequence); they differ only in
 timing and CPU consumption.  Recovery must round-trip for all of them.
+The simulator is pure standard-library Python end to end.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +98,23 @@ class TestDeterminism:
         assert [(m.op,) for m in fs1.image.mutations] == \
                [(m.op,) for m in fs2.image.mutations]
         assert fs1.engine.now == fs2.engine.now
+
+
+class TestPureStdlib:
+    def test_crash_sweep_and_latency_probe_never_import_numpy(self):
+        # A fresh interpreter: anything else in the test session may
+        # have imported numpy already.
+        script = (
+            "import sys\n"
+            "from repro.crash import run_crash_test\n"
+            "from repro.workloads.fxmark import measure_single_op\n"
+            "report = run_crash_test('easyio', 'generic_056',"
+            " granularity='line')\n"
+            "assert report.all_passed, report.failures[:3]\n"
+            "measure_single_op('easyio', 'write', 16384)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'numpy'))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

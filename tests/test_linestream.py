@@ -10,18 +10,30 @@ Pins the model-level invariants of the line stream:
   ``pages_persist``);
 * the everything-landed replay equals the mutation-journal replay
   (the equivalence tying the line model to the page model);
-* the recording guards (record=True, before-first-mutation).
+* the recording guards (record=True, before-first-mutation);
+* ``base_durable``/``in_flight``/``replay_plan`` agree with a
+  record-by-record fence walk (the oracle below) on seeded synthetic
+  streams, including a stream that grows and cancellations that
+  arrive after the durability view was built.
 """
+
+import random
+from types import SimpleNamespace
+from typing import Dict, List, Set, Tuple
 
 import pytest
 
+from repro.crash import linestream as ls
 from repro.crash.crashmonkey import CRASH_WORKLOADS, _record_workload
 from repro.crash.linestream import (
     CACHE_LINE,
     FenceRec,
     LineStream,
     LineStore,
+    base_durable,
+    in_flight,
     replay_full,
+    replay_plan,
 )
 from repro.faults import ChannelHaltFault, FaultPlan
 from repro.fs.pmimage import PMImage
@@ -169,3 +181,200 @@ class TestGuards:
         stream.log_commit(1, 1)
         assert stream.fences_skipped == 1
         assert not _fences(stream, "commit")
+
+
+# ----------------------------------------------------------------------
+# Oracle: the durability rules walked record by record, fence by fence
+# ----------------------------------------------------------------------
+def _base_durable_ref(stream: LineStream, point: int) -> Set[int]:
+    durable: Set[int] = set()
+    pending_cpu: List[int] = []
+    pending_dma: Dict[int, List[Tuple[int, int]]] = {}
+    cancelled = stream.cancelled
+    for rec in stream.records[:point]:
+        if isinstance(rec, LineStore):
+            if rec.seq in cancelled:
+                continue
+            if rec.immediate:
+                durable.add(rec.seq)
+            elif rec.dep is None:
+                pending_cpu.append(rec.seq)
+            else:
+                ch, sn = rec.dep
+                pending_dma.setdefault(ch, []).append((sn, rec.seq))
+        elif rec.scope is None:
+            durable.update(pending_cpu)
+            pending_cpu.clear()
+        else:
+            ch, covered = rec.scope
+            keep = []
+            for sn, seq in pending_dma.get(ch, ()):
+                if sn <= covered:
+                    durable.add(seq)
+                else:
+                    keep.append((sn, seq))
+            pending_dma[ch] = keep
+    return durable
+
+
+def _in_flight_ref(stream: LineStream, point: int) -> List[LineStore]:
+    durable = _base_durable_ref(stream, point)
+    return [rec for rec in stream.records[:point]
+            if isinstance(rec, LineStore)
+            and rec.seq not in durable and rec.seq not in stream.cancelled
+            and not rec.immediate]
+
+
+def _replay_plan_ref(stream: LineStream, plan) -> PMImage:
+    img = PMImage(record=False)
+    apply_full = _base_durable_ref(stream, plan.point) | set(plan.applied)
+    partials = dict(plan.partials)
+    for rec in stream.records[:plan.point]:
+        if not isinstance(rec, LineStore):
+            continue
+        lines = partials.get(rec.seq)
+        if lines is not None:
+            ls._apply_partial(img, rec, lines)
+        elif rec.seq in apply_full:
+            ls._apply_store(img, rec)
+    return img
+
+
+def _synth_stream(rng: random.Random) -> LineStream:
+    """A randomized but well-formed line stream: CPU trains, DMA
+    announcements with completions/cancellations, records, atomics,
+    bookkeeping -- the shapes the real emitters produce."""
+    stream = LineStream()
+    sn = {0: 0, 1: 0}
+    outstanding = []            # (ch, sn) announced, not yet resolved
+    pid = 0
+    n_ops = rng.randint(0, 40)
+    start = 0
+    for op in range(n_ops):
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(8)
+            if kind == 0:                      # CPU page train + fence
+                for _ in range(rng.randint(1, 3)):
+                    pid += 1
+                    stream.page_write(
+                        pid, bytes([rng.randrange(256)]) * rng.choice(
+                            [1, 64, 200, 4096]))
+                stream.pages_fence()
+            elif kind == 1:                    # log append (record)
+                stream.store("log-append", ("log", op),
+                             (op, f"entry-{op}-{pid}"),
+                             nlines=rng.randint(1, 4))
+                if rng.random() < 0.8:
+                    stream.fence("append:str")
+            elif kind == 2:                    # atomic tail commit
+                stream.log_commit(op, rng.randrange(1000))
+            elif kind == 3:                    # DMA announcement
+                ch = rng.randrange(2)
+                sn[ch] += 1
+                pids = [pid + 1 + i for i in range(rng.randint(1, 3))]
+                pid = pids[-1]
+                stream.announce_dma_pages(
+                    ch, sn[ch], pids,
+                    [bytes([p & 0xFF]) * 4096 for p in pids])
+                outstanding.append((ch, sn[ch]))
+            elif kind == 4 and outstanding:    # completion fence
+                ch, s = outstanding.pop(rng.randrange(len(outstanding)))
+                stream.completion_update(ch, s)
+            elif kind == 5 and outstanding:    # failed descriptor
+                ch, s = outstanding.pop(rng.randrange(len(outstanding)))
+                stream.error_log(ch, (s,))
+            elif kind == 6:                    # journal txn
+                stream.journal_begin(("txn", op))
+                if rng.random() < 0.5:
+                    stream.journal_retire()
+            else:                              # bookkeeping
+                stream.alloc_ino(op + 1)
+                stream.alloc_pages(pid + 1)
+        end = stream.position()
+        stream.op_bounds.append((start, end))
+        start = end
+    return stream
+
+
+def _img_state(img):
+    return (dict(img.pages), {k: list(v) for k, v in img.logs.items()},
+            dict(img.log_tails), dict(img.inodes), list(img.journal),
+            dict(img.completion_buffers),
+            {k: set(v) for k, v in img.channel_error_sns.items()},
+            img.next_ino, img.next_page)
+
+
+class TestDurabilityAgainstOracle:
+    def test_durability_and_replay_on_seeded_streams(self):
+        rng = random.Random(0xBEEF)
+        for trial in range(25):
+            stream = _synth_stream(rng)
+            n = len(stream.records)
+            points = sorted({0, 1 if n else 0, n}
+                            | {rng.randrange(n + 1) for _ in range(10)})
+            for pt in points:
+                assert base_durable(stream, pt) \
+                    == _base_durable_ref(stream, pt), (trial, pt)
+                assert [r.seq for r in in_flight(stream, pt)] \
+                    == [r.seq for r in _in_flight_ref(stream, pt)]
+            # Random plans: arbitrary applied subsets + partials.
+            for pt in points:
+                flight = _in_flight_ref(stream, pt)
+                applied = frozenset(r.seq for r in flight
+                                    if rng.random() < 0.5)
+                partials = tuple(
+                    (r.seq, tuple(sorted(rng.sample(
+                        range(r.nlines), rng.randint(1, r.nlines)))))
+                    for r in flight
+                    if r.nlines > 1 and r.klass in ("data", "record")
+                    and rng.random() < 0.3)
+                plan = SimpleNamespace(point=pt, applied=applied,
+                                       partials=partials)
+                assert _img_state(replay_plan(stream, plan)) \
+                    == _img_state(_replay_plan_ref(stream, plan)), \
+                    (trial, pt)
+
+    def test_replay_full_matches_oracle(self):
+        rng = random.Random(7)
+        for _ in range(5):
+            stream = _synth_stream(rng)
+            end = stream.position()
+            plan = SimpleNamespace(
+                point=end, partials=(),
+                applied=frozenset(r.seq for r in
+                                  _in_flight_ref(stream, end)))
+            assert _img_state(replay_full(stream)) \
+                == _img_state(_replay_plan_ref(stream, plan))
+
+    def test_empty_stream(self):
+        stream = LineStream()
+        assert base_durable(stream, 0) == set()
+        assert in_flight(stream, 0) == []
+        img = replay_full(stream)
+        assert not img.pages and not img.logs
+
+    def test_durability_view_follows_stream_growth(self):
+        stream = LineStream()
+        stream.page_write(1, b"x" * 64)
+        stream.pages_fence()
+        assert base_durable(stream, stream.position()) == {0}
+        stream.page_write(2, b"y" * 64)
+        assert in_flight(stream, stream.position())[0].seq == 2
+        stream.pages_fence()
+        assert base_durable(stream, stream.position()) == {0, 2}
+        assert _base_durable_ref(stream, stream.position()) == {0, 2}
+
+    def test_cancellation_after_durability_view_built(self):
+        # cancel_sns arrives without appending records; the cached
+        # view must not bake the cancelled set in.
+        stream = LineStream()
+        stream.announce_dma_pages(0, 1, [1], [b"a" * 4096])
+        stream.announce_dma_pages(0, 2, [2], [b"b" * 4096])
+        stream.completion_update(0, 1)
+        pt = stream.position()
+        assert base_durable(stream, pt) == _base_durable_ref(stream, pt)
+        assert [r.seq for r in in_flight(stream, pt)] == [1]
+        stream.cancel_sns(0, [1, 2])
+        assert base_durable(stream, pt) == _base_durable_ref(stream, pt)
+        assert in_flight(stream, pt) == []
+        assert 1 not in replay_full(stream).pages
