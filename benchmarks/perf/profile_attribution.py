@@ -91,7 +91,7 @@ def fig09_serial(duration_us: int, warmup_us: int):
         out.update(fxmark_sweep(
             ("nova", "nova-dma", "odinfs", "easyio"), (1, 4), op=op,
             io_size=16384, duration_us=duration_us, warmup_us=warmup_us,
-            elide=False, processes=1))
+            processes=1))
     return out
 
 

@@ -9,10 +9,10 @@ script measures how fast the simulator runs on the host:
 * ``fig09_sweep_serial``: the 16-point Figure 9 throughput-latency
   sweep exactly as the golden capture runs it (full payload plumbing,
   one process);
-* ``fig09_sweep_fast``: the same sweep in payload-elision mode through
-  the parallel sweep runner -- the configuration performance sweeps
-  should use.  The harness asserts its summaries are identical to the
-  serial run's before trusting its timing;
+* ``fig09_sweep_fast``: the same sweep through the parallel sweep
+  runner -- the configuration performance sweeps should use.  The
+  harness asserts its summaries are identical to the serial run's
+  before trusting its timing;
 * ``replication``: one traced 3-node crash-failover run, cluster
   oracle replay included (the DESIGN.md §12 layer's wall-clock unit);
 * ``crash_prune``: one pruned line-granularity crash sweep of
@@ -121,28 +121,27 @@ def bench_fig08_probe(repeat: int) -> dict:
 
 
 def bench_fig09(repeat: int, duration_us: int, warmup_us: int) -> dict:
-    """Serial full-payload sweep vs elided parallel sweep (same grid)."""
-    def grid(elide, processes):
+    """Serial sweep vs parallel sweep (same grid)."""
+    def grid(processes):
         out = {}
         for op in ("write", "read"):
             out.update(fxmark_sweep(
                 FIG09_KINDS, FIG09_WORKERS, op=op, io_size=16384,
                 duration_us=duration_us, warmup_us=warmup_us,
-                elide=elide, processes=processes))
+                processes=processes))
         return out
 
-    serial_wall, serial = _best_of(repeat, lambda: grid(False, 1))
-    fast_wall, fast = _best_of(repeat, lambda: grid(True, None))
+    serial_wall, serial = _best_of(repeat, lambda: grid(1))
+    fast_wall, fast = _best_of(repeat, lambda: grid(None))
     if fast != serial:
         drift = sorted(k for k in serial if fast.get(k) != serial[k])
-        raise SystemExit(f"FAIL: elided/parallel sweep drifted from the "
+        raise SystemExit(f"FAIL: parallel sweep drifted from the "
                          f"serial run on {drift}")
     points = len(serial)
     return {
         "points": points,
         "fig09_sweep_serial": {"wall_s": round(serial_wall, 4)},
         "fig09_sweep_fast": {"wall_s": round(fast_wall, 4),
-                             "elide": True,
                              "processes": os.cpu_count() or 1},
         "speedup_fast_vs_serial": round(serial_wall / fast_wall, 3),
     }

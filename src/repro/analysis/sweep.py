@@ -81,19 +81,14 @@ def run_sweep(configs: Sequence["FxmarkConfig"],
 def fxmark_sweep(kinds: Iterable[str], workers: Iterable[int],
                  op: str = "write", io_size: int = 16384,
                  duration_us: int = 1200, warmup_us: int = 300,
-                 elide: bool = False,
                  processes: Optional[int] = None) -> Dict[str, dict]:
-    """The Figure 9 grid: ``{op}/{kind}/{workers}`` -> point summary.
-
-    ``elide=True`` runs every point in payload-elision mode (identical
-    summaries, less host work) -- the pure-performance default.
-    """
+    """The Figure 9 grid: ``{op}/{kind}/{workers}`` -> point summary."""
     from repro.workloads.fxmark import FxmarkConfig
     kinds = list(kinds)
     workers = list(workers)
     configs = [FxmarkConfig(kind=kind, op=op, io_size=io_size,
                             workers=n, duration_us=duration_us,
-                            warmup_us=warmup_us, elide=elide)
+                            warmup_us=warmup_us)
                for kind in kinds for n in workers]
     keys = [f"{op}/{kind}/{n}" for kind in kinds for n in workers]
     return dict(zip(keys, run_sweep(configs, processes=processes)))

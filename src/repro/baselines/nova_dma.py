@@ -11,18 +11,14 @@ NOVA-DMA spreads requests across **all** channels (the paper calls
 this out as the reason its write throughput collapses under high
 concurrency -- the §2.2 multi-channel penalty bites).
 
-As a pipeline composition: the same strictly ordered
-Sync{Write,Read}Pipeline as NOVA, with the copy backend swapped for
+Its data path is the same strictly ordered Sync{Write,Read}Pipeline
+as NOVA, with the copy backend swapped for
 :class:`~repro.io.backends.DmaPollBackend` (busy-poll completion).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.fs.nova import NovaFS
-from repro.fs.pmimage import PMImage
-from repro.hw.platform import Platform
 
 
 class NovaDmaFS(NovaFS):
@@ -34,28 +30,13 @@ class NovaDmaFS(NovaFS):
     #: we keep small copies on the CPU.
     OFFLOAD_THRESHOLD = 4096
 
-    def __init__(self, platform: Platform, image: Optional[PMImage] = None,
-                 elide_payloads: bool = False):
-        super().__init__(platform, image, elide_payloads=elide_payloads)
-        self.dma_writes = 0
-        self.dma_reads = 0
-        self.memcpy_ops = 0
-
-    def _build_pipeline(self):
+    def _build_pipelines(self):
         from repro.io import (
-            BusyPollCompletion,
             DmaPollBackend,
-            IoPipeline,
-            IoPlanner,
-            OpCounters,
+            PagePersister,
             SyncReadPipeline,
             SyncWritePipeline,
         )
-        planner = IoPlanner(self)
-        backend = DmaPollBackend(self.platform.dma, self.model, self.memory,
-                                 self._make_persister(),
-                                 BusyPollCompletion(), OpCounters(self),
-                                 offload_threshold=self.OFFLOAD_THRESHOLD)
-        return IoPipeline(write=SyncWritePipeline(self, planner, backend),
-                          read=SyncReadPipeline(self, planner, backend),
-                          planner=planner)
+        backend = DmaPollBackend(self, PagePersister(self.image, self.engine))
+        self.write_pipeline = SyncWritePipeline(self, backend)
+        self.read_pipeline = SyncReadPipeline(self, backend)

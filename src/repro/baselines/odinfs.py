@@ -15,11 +15,11 @@ looks similar to EasyIO's offload, but the interface is synchronous:
 the thread cannot run other work, so the saved cycles only help
 whole-machine utilisation, not the application's own throughput.
 
-As a pipeline composition: the strictly ordered Sync{Write,Read}
-pipelines over :class:`~repro.io.backends.DelegationBackend` with
-park-and-wake completion.  The backend owns the delegation threads,
-so the pipeline is built eagerly at construction time (the threads'
-processes must exist before the simulation starts).
+Its data path is the strictly ordered Sync{Write,Read} pipelines over
+:class:`~repro.io.backends.DelegationBackend`, whose callers park and
+pay a kernel wakeup.  The backend owns the delegation threads, so it
+is built at construction time (the threads' processes must exist
+before the simulation starts).
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ class OdinfsFS(NovaFS):
     name = "Odinfs"
 
     def __init__(self, platform: Platform, image: Optional[PMImage] = None,
-                 delegation_cores: Optional[List[Core]] = None,
-                 elide_payloads: bool = False):
-        super().__init__(platform, image, elide_payloads=elide_payloads)
+                 delegation_cores: Optional[List[Core]] = None):
         if delegation_cores is None:
             # Paper default: 12 reserved cores per NUMA node, taken from
             # the top of the core range so workers use the bottom.
@@ -49,15 +47,11 @@ class OdinfsFS(NovaFS):
         if not delegation_cores:
             raise ValueError("Odinfs needs at least one delegation core")
         self.delegation_cores = delegation_cores
-        self._io = self._build_pipeline()
+        super().__init__(platform, image)
 
     @property
     def reserved_cores(self) -> int:
         return len(self.delegation_cores)
-
-    @property
-    def _backend(self):
-        return self._io.write.backend
 
     @property
     def threads(self):
@@ -68,20 +62,15 @@ class OdinfsFS(NovaFS):
     def requests_delegated(self) -> int:
         return self._backend.requests_delegated
 
-    def _build_pipeline(self):
+    def _build_pipelines(self):
         from repro.io import (
             DelegationBackend,
-            IoPipeline,
-            IoPlanner,
-            ParkAndWakeCompletion,
+            PagePersister,
             SyncReadPipeline,
             SyncWritePipeline,
         )
-        planner = IoPlanner(self)
-        backend = DelegationBackend(self.engine, self.model, self.memory,
-                                    self.delegation_cores,
-                                    self._make_persister(),
-                                    ParkAndWakeCompletion(self.model))
-        return IoPipeline(write=SyncWritePipeline(self, planner, backend),
-                          read=SyncReadPipeline(self, planner, backend),
-                          planner=planner)
+        self._backend = DelegationBackend(
+            self.engine, self.model, self.memory, self.delegation_cores,
+            PagePersister(self.image, self.engine))
+        self.write_pipeline = SyncWritePipeline(self, self._backend)
+        self.read_pipeline = SyncReadPipeline(self, self._backend)

@@ -29,12 +29,14 @@ first), and after a failover the committed log entry's SN field is
 amended to the new (channel, sn) pairs -- so the recovery validator
 stays sound at every crash point inside the retry/failover window.
 
-As a pipeline composition (see :mod:`repro.io`): EasyIO is the
+Its data path (see :mod:`repro.io`) is the
 :class:`~repro.io.pipeline.OrderlessWritePipeline` and
 :class:`~repro.io.pipeline.AsyncReadPipeline` over
-:class:`~repro.io.backends.DmaAsyncBackend`, with batched-pending
-completion, a level-2 gate, deadline/admission middleware, and fault
-supervision.
+:class:`~repro.io.backends.DmaAsyncBackend`, returning one pending
+event per descriptor batch.  The policies those pipelines consult are
+methods here: the level-2 wait (:meth:`EasyIoFS._wait_level2`), the
+admission test (:meth:`EasyIoFS._forces_sync`) and whether to run
+under the fault supervisor (:meth:`EasyIoFS._supervised`).
 
 :class:`NaiveAsyncFS` is the §6.4 ablation: asynchronous DMA offload
 *without* orderless operation or two-level locking -- data and metadata
@@ -54,20 +56,12 @@ from repro.fs.structures import MemInode
 from repro.hw.dma import DmaChannel
 from repro.hw.platform import Platform
 from repro.io import (
-    AdmissionControl,
     AsyncReadPipeline,
-    BatchedPendingCompletion,
-    DeadlineGate,
     DmaAsyncBackend,
     FaultSupervisor,
-    IoPipeline,
-    IoPlanner,
-    Level2Gate,
     MemcpyBackend,
-    OpCounters,
     OrderedAsyncWritePipeline,
     OrderlessWritePipeline,
-    SupervisionPolicy,
     VerifyingPagePersister,
 )
 
@@ -92,20 +86,16 @@ class EasyIoFS(NovaFS):
     def __init__(self, platform: Platform, image: Optional[PMImage] = None,
                  channel_manager: Optional[ChannelManager] = None,
                  fault_tolerant: Optional[bool] = None,
-                 overload_stats: Optional[OverloadStats] = None,
-                 elide_payloads: bool = False):
-        super().__init__(platform, image, elide_payloads=elide_payloads)
+                 overload_stats: Optional[OverloadStats] = None):
         self.cm = channel_manager or ChannelManager(platform)
         #: Overload/deadline counters, shareable with the runtime's
         #: admission controller and watchdog.
         self.overload_stats = overload_stats or OverloadStats()
-        self.dma_writes = 0
-        self.dma_reads = 0
-        self.memcpy_reads = 0
-        self.memcpy_writes = 0
         #: None = auto: supervise offloaded ops iff a fault plan is
         #: installed on the hardware or the image.  True/False forces.
         self.fault_tolerant = fault_tolerant
+        self._ft_seen = False
+        super().__init__(platform, image)
         # EasyIO places completion buffers in a persistent region
         # (§4.2): every completion-buffer update is a durable store.
         # Failed/stranded SNs are likewise persisted (poisoned) the
@@ -115,7 +105,6 @@ class EasyIoFS(NovaFS):
             ch.on_completion = self._persist_completion
             ch.on_error = self._persist_channel_errors
             ch.on_reset = self._persist_channel_errors
-        self._io = self._build_pipeline()
 
     @property
     def fault_stats(self):
@@ -133,44 +122,84 @@ class EasyIoFS(NovaFS):
     # Two-level locking (§4.3)
     # ------------------------------------------------------------------
     def _wait_level2(self, ctx: OpContext, m: MemInode):
-        """Level-2 check: block until the previous write's DMA lands
-        (see :class:`~repro.io.middleware.Level2Gate` for semantics)."""
-        yield from self.io.level2.wait(ctx, m)
+        """Level-2 check: block until the previous write's DMA lands.
+
+        Runs with the level-1 lock held; safe because completion is
+        hardware-driven and always makes progress (no deadlock).  The
+        wait spins inside the syscall, so it costs CPU -- which is why
+        high-contention workloads cap EasyIO's benefit (§6.6).
+
+        Under fault supervision the wait targets the supervisor's
+        all-data-landed event instead of the raw completion buffer: a
+        halted channel's completion may never arrive, but the
+        supervisor always resolves (retry, failover, or memcpy).
+
+        With a context deadline the wait is bounded: it raises
+        ``DeadlineExceeded`` (detaching from, never cancelling, the
+        shared completion event) once the budget runs out.
+        """
+        done = m.pending_done
+        if done is not None and not done.triggered:
+            ctx.trace_begin("level2", ino=m.ino)
+            try:
+                yield from ctx.timed_wait(done,
+                                          what=f"level-2 wait ino{m.ino}")
+            finally:
+                ctx.trace_end("level2")
+            return
+        for chid, sn in m.pending_sns:
+            ch = self.platform.dma.channel(chid)
+            if not ch.is_complete(sn):
+                ctx.trace_begin("level2", ino=m.ino, ch=chid, sn=sn)
+                try:
+                    yield from ctx.timed_wait(
+                        ch.completion_event(sn),
+                        what=f"level-2 completion ch{chid}/sn{sn}")
+                finally:
+                    ctx.trace_end("level2")
 
     # ------------------------------------------------------------------
-    # Pipeline composition (§4.2-§4.4 as declarative policy)
+    # Admission and supervision (§4.4)
     # ------------------------------------------------------------------
-    def _build_pipeline(self) -> IoPipeline:
-        planner = IoPlanner(self)
-        if self.elide_payloads:
-            # Performance sweeps: no contents stored, no checksum
-            # read-back (_make_persister already rejects fault plans).
-            persister = self._make_persister()
-        else:
-            persister = VerifyingPagePersister(
-                self.image, self.fault_stats,
-                rewrite_max=self.MEDIA_REWRITE_MAX)
-            persister.engine = self.engine
-        backend = DmaAsyncBackend(self.cm, self.memory, persister,
-                                  OpCounters(self))
+    def _forces_sync(self, ctx: OpContext) -> bool:
+        """Overload policy: run the data path synchronously when the
+        scheduler demanded it or the deadline budget is too thin."""
+        if ctx.force_sync:
+            return True
+        rem = ctx.remaining()
+        return rem is not None and rem < self.DEADLINE_MIN_ASYNC_NS
+
+    def _supervised(self) -> bool:
+        """Should offloaded operations run under the fault supervisor?
+
+        ``fault_tolerant`` forces the answer; when it is None, supervise
+        once a fault plan is seen on the image or any DMA channel (the
+        detection is sticky).
+        """
+        if self.fault_tolerant is not None:
+            return self.fault_tolerant
+        if not self._ft_seen:
+            self._ft_seen = (
+                self.image.fault_plan is not None
+                or any(ch.fault_plan is not None
+                       for ch in self.platform.dma.channels))
+        return self._ft_seen
+
+    # ------------------------------------------------------------------
+    # Data path (§4.2-§4.4)
+    # ------------------------------------------------------------------
+    def _build_pipelines(self):
+        persister = VerifyingPagePersister(
+            self.image, self.engine, self.fault_stats,
+            rewrite_max=self.MEDIA_REWRITE_MAX)
+        #: Drives supervised operations to resolution (see _supervised).
+        self.supervisor = FaultSupervisor(self.engine, self.cm, self.image,
+                                          self.memory, persister,
+                                          self.overload_stats)
+        backend = DmaAsyncBackend(self, persister)
         fallback = MemcpyBackend(self.memory, persister)
-        completion = BatchedPendingCompletion(self.engine)
-        supervisor = FaultSupervisor(self.engine, self.cm, self.image,
-                                     self.memory, persister,
-                                     self.overload_stats)
-        level2 = Level2Gate(self)
-        admission = AdmissionControl(self.overload_stats,
-                                     self.DEADLINE_MIN_ASYNC_NS)
-        supervision = SupervisionPolicy(self, supervisor)
-        stats = OpCounters(self)
-        return IoPipeline(
-            write=OrderlessWritePipeline(self, planner, level2,
-                                         DeadlineGate(), admission, backend,
-                                         fallback, completion, supervision,
-                                         stats),
-            read=AsyncReadPipeline(self, planner, admission, backend,
-                                   completion, supervision),
-            planner=planner, level2=level2)
+        self.write_pipeline = OrderlessWritePipeline(self, backend, fallback)
+        self.read_pipeline = AsyncReadPipeline(self, backend)
 
 
 class NaiveAsyncFS(EasyIoFS):
@@ -186,15 +215,11 @@ class NaiveAsyncFS(EasyIoFS):
 
     name = "Naive"
 
-    def _build_pipeline(self) -> IoPipeline:
-        base = super()._build_pipeline()
-        w = base.write
-        return IoPipeline(
-            write=OrderedAsyncWritePipeline(self, w.planner, w.backend,
-                                            w.fallback, w.completion,
-                                            w.stats),
-            read=base.read,
-            planner=base.planner, level2=base.level2)
+    def _build_pipelines(self):
+        super()._build_pipelines()
+        w = self.write_pipeline
+        self.write_pipeline = OrderedAsyncWritePipeline(self, w.backend,
+                                                        w.fallback)
 
 
 #: Planted persistence bugs for crash-model validation.  Each mutant
@@ -225,7 +250,7 @@ def install_crash_mutant(fs, mutant: str) -> None:
                 "skip_append_fence needs a line-recording image")
         stream.skipped_fences.add("append:WriteEntry")
     elif mutant == "reorder_amend_persist":
-        fs.io.write.supervision.supervisor.mutant_reorder_amend = True
+        fs.supervisor.mutant_reorder_amend = True
     else:
         raise ValueError(f"unknown crash mutant {mutant!r}; "
                          f"choose from {CRASH_MUTANTS}")

@@ -10,12 +10,13 @@ that charges calibrated CPU costs phase by phase, so the Figure 1
 latency breakdown (metadata / memcpy / indexing / syscall & VFS) falls
 out of instrumentation rather than estimation.
 
-Data movement is delegated to the unified I/O pipeline
-(:mod:`repro.io`): each variant -- NOVA, NOVA-DMA, Odinfs, EasyIO --
-overrides only :meth:`NovaFS._build_pipeline` to compose a planner, a
-copy backend, a completion strategy, and middleware stages.  The
-metadata formats and namespace operations are shared -- mirroring the
-paper's claim that EasyIO needs <50 changed lines in NOVA.
+Data movement is delegated to the I/O pipelines (:mod:`repro.io`):
+each variant -- NOVA, NOVA-DMA, Odinfs, EasyIO -- overrides only
+:meth:`NovaFS._build_pipelines` to pick its write and read pipeline
+and copy backend (EasyIO adds the two-level lock's level-2 wait and
+its admission and supervision checks as methods).  The metadata
+formats and namespace operations are shared -- mirroring the paper's
+claim that EasyIO needs <50 changed lines in NOVA.
 """
 
 from __future__ import annotations
@@ -253,46 +254,30 @@ class NovaFS:
 
     name = "NOVA"
 
-    def __init__(self, platform: Platform, image: Optional[PMImage] = None,
-                 elide_payloads: bool = False):
+    def __init__(self, platform: Platform, image: Optional[PMImage] = None):
         self.platform = platform
         self.engine = platform.engine
         self.model: CostModel = platform.model
         self.memory = platform.memory
         self.image = image if image is not None else PMImage()
-        #: Payload-elision mode: the data plane moves (and charges for)
-        #: the same bytes at the same instants, but no page contents are
-        #: stored -- for pure-performance sweeps only.  Incompatible
-        #: with recording images, fault plans, and writes that carry a
-        #: real payload (all guarded).
-        self.elide_payloads = elide_payloads
-        if elide_payloads and self.image.recording:
-            raise ValueError(
-                "payload elision cannot be combined with a recording "
-                "image: crash replay needs real page contents")
         self.allocator = PageAllocator(self.image)
         self._mem: Dict[int, MemInode] = {}
         self.ops_completed = 0
+        #: Per-variant operation counters (see OP_COUNTER_NAMES); each
+        #: variant's backends and pipelines bump the ones its data
+        #: path has.
+        self.dma_writes = 0
+        self.dma_reads = 0
+        self.memcpy_reads = 0
+        self.memcpy_writes = 0
+        self.memcpy_ops = 0
         self._mounted = False
-        # The I/O pipeline composition; variants that must spawn
-        # processes at construction time (Odinfs) build it eagerly at
-        # the end of their own __init__, everyone else on first use.
-        self._io = None
-
-    def _make_persister(self):
-        """The page persister matching this filesystem's mode."""
         # Imported here: repro.io imports OpResult from this module.
-        from repro.io import ElidingPagePersister, PagePersister
-        if self.elide_payloads:
-            if self.image.fault_plan is not None:
-                raise ValueError(
-                    "payload elision cannot be combined with a fault "
-                    "plan: media-fault verification reads pages back")
-            persister = ElidingPagePersister(self.image)
-        else:
-            persister = PagePersister(self.image)
-        persister.engine = self.engine
-        return persister
+        from repro.io import IoPlanner
+        self.planner = IoPlanner(self)
+        # Built last: a variant sets what its pipelines need before
+        # calling this constructor.
+        self._build_pipelines()
 
     # ------------------------------------------------------------------
     # Mount / volatile state
@@ -544,16 +529,12 @@ class NovaFS:
               payload: Optional[bytes] = None):
         """Write ``nbytes`` at ``offset``; returns an :class:`OpResult`.
 
-        ``payload`` may be omitted for performance runs (page contents
-        are then elided); when given it must be exactly ``nbytes`` long
-        and read-back verification works end to end.
+        ``payload`` may be omitted for performance runs (the pages then
+        hold the ``ELIDED`` marker); when given it must be exactly
+        ``nbytes`` long and read-back verification works end to end.
         """
         if payload is not None and len(payload) != nbytes:
             raise FsError(f"payload length {len(payload)} != nbytes {nbytes}")
-        if payload is not None and self.elide_payloads:
-            raise FsError(
-                "this filesystem elides payloads: a real payload would be "
-                "silently dropped (mount without elide_payloads to keep data)")
         if nbytes < 0 or offset < 0:
             raise FsError("negative offset/size")
         if ctx._tracer is not None:
@@ -572,8 +553,8 @@ class NovaFS:
                 return OpResult(value=0, ctx=ctx)
             yield from self._acquire_file_lock(ctx, m, write=True)
             # The variant's write pipeline (see repro.io).
-            result = yield from self.io.write.run(ctx, m, offset, nbytes,
-                                                  payload)
+            result = yield from self.write_pipeline.run(ctx, m, offset,
+                                                        nbytes, payload)
         finally:
             ctx.trace_end("write")
         self._trace_write_ack(ctx, result, ino)
@@ -713,8 +694,8 @@ class NovaFS:
             m.lock.release_read()
             raise
         # The variant's read pipeline (see repro.io).
-        result = yield from self.io.read.run(ctx, m, offset, nbytes, runs,
-                                             want_data)
+        result = yield from self.read_pipeline.run(ctx, m, offset, nbytes,
+                                                   runs, want_data)
         return result
 
     def _collect_data(self, m: MemInode, offset: int, nbytes: int) -> bytes:
@@ -765,31 +746,22 @@ class NovaFS:
             ctx.lock_racing = 0
 
     # ------------------------------------------------------------------
-    # The I/O pipeline composition (see repro.io)
+    # The I/O pipelines (see repro.io)
     # ------------------------------------------------------------------
-    @property
-    def io(self):
-        """This variant's :class:`~repro.io.pipeline.IoPipeline`."""
-        if self._io is None:
-            self._io = self._build_pipeline()
-        return self._io
-
-    def _build_pipeline(self):
-        """Compose the variant's data path.  NOVA: synchronous CPU
-        memcpy for both directions (the paper's baseline)."""
-        # Imported here: repro.io imports OpResult from this module.
+    def _build_pipelines(self):
+        """Set ``write_pipeline`` and ``read_pipeline``.  NOVA:
+        synchronous CPU memcpy for both directions (the paper's
+        baseline)."""
         from repro.io import (
-            IoPipeline,
-            IoPlanner,
             MemcpyBackend,
+            PagePersister,
             SyncReadPipeline,
             SyncWritePipeline,
         )
-        planner = IoPlanner(self)
-        backend = MemcpyBackend(self.memory, self._make_persister())
-        return IoPipeline(write=SyncWritePipeline(self, planner, backend),
-                          read=SyncReadPipeline(self, planner, backend),
-                          planner=planner)
+        backend = MemcpyBackend(self.memory,
+                                PagePersister(self.image, self.engine))
+        self.write_pipeline = SyncWritePipeline(self, backend)
+        self.read_pipeline = SyncReadPipeline(self, backend)
 
     # ------------------------------------------------------------------
     # Hooks EasyIO overrides
@@ -803,18 +775,16 @@ class NovaFS:
     # ------------------------------------------------------------------
     # Counter hygiene (reuse across runs)
     # ------------------------------------------------------------------
-    #: Per-variant operation counters (bumped through the OpCounters
-    #: middleware stage); reset together with ops_completed.
+    #: The operation counters every variant carries; reset together
+    #: with ops_completed.
     OP_COUNTER_NAMES = ("dma_writes", "dma_reads", "memcpy_reads",
                         "memcpy_writes", "memcpy_ops")
 
     def reset_op_counters(self) -> None:
-        """Zero ``ops_completed`` and every per-variant op counter this
-        filesystem carries (``dma_writes``, ``memcpy_ops``, ...)."""
+        """Zero ``ops_completed`` and every op counter."""
         self.ops_completed = 0
         for name in self.OP_COUNTER_NAMES:
-            if hasattr(self, name):
-                setattr(self, name, 0)
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Convenience (drive an op to completion on a throwaway context)

@@ -35,8 +35,9 @@ class MutationRecord:
     args: Tuple[Any, ...]
 
 
-#: Marker stored for page writes whose payload was elided (performance
-#: runs that do not verify data content).
+#: Marker stored for pages written without a payload
+#: (``write(..., payload=None)``: performance runs that never read data
+#: back).
 ELIDED = object()
 
 
@@ -99,7 +100,7 @@ class PMImage:
             self.mutations.append(MutationRecord(op, args))
 
     def write_page(self, page_id: int, data: Any) -> None:
-        """Persist one data page (bytes, or ELIDED for elided payloads).
+        """Persist one data page (bytes, or ELIDED for payload-less writes).
 
         With a fault plan installed, a content-carrying write may
         persist garbage instead (a media fault); what actually landed

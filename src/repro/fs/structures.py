@@ -174,7 +174,7 @@ class MemInode:
     # completion buffer, because a halted channel's completion may
     # never arrive.  None when no supervision is active.
     pending_done: Optional[object] = None
-    # Assigned lazily by the filesystem (a sim Lock needs the engine).
+    # Assigned lazily by the filesystem (a sim RWLock needs the engine).
     lock: Optional[object] = None
     #: Bumped on every block-mapping change (write commit, truncate,
     #: recovery rebuild); read-plan memo entries from older epochs are

@@ -1,26 +1,27 @@
-"""The unified I/O pipeline: planning, copy backends, completion
-strategies, middleware, and fault supervision.
+"""The I/O data paths: planning, copy backends, page persistence,
+the per-variant pipelines, and fault supervision.
 
-Every filesystem variant's data path is a declarative composition of
-these pieces (see each variant's ``_build_pipeline``):
+Each filesystem variant holds one planner and one write and one read
+pipeline, built in its ``_build_pipelines``:
 
-==========  ======================  ==================  ===================
-variant     write pipeline          copy backend        completion
-==========  ======================  ==================  ===================
-NOVA        SyncWritePipeline       MemcpyBackend       (synchronous copy)
-NOVA-DMA    SyncWritePipeline       DmaPollBackend      BusyPollCompletion
-Odinfs      SyncWritePipeline       DelegationBackend   ParkAndWakeCompletion
-EasyIO      OrderlessWritePipeline  DmaAsyncBackend     BatchedPendingCompletion
-Naive       OrderedAsyncWrite...    DmaAsyncBackend     BatchedPendingCompletion
-==========  ======================  ==================  ===================
+==========  =========================  ==================  ==================
+variant     write pipeline             read pipeline       copy backend
+==========  =========================  ==================  ==================
+NOVA        SyncWritePipeline          SyncReadPipeline    MemcpyBackend
+NOVA-DMA    SyncWritePipeline          SyncReadPipeline    DmaPollBackend
+Odinfs      SyncWritePipeline          SyncReadPipeline    DelegationBackend
+EasyIO      OrderlessWritePipeline     AsyncReadPipeline   DmaAsyncBackend
+Naive       OrderedAsyncWritePipeline  AsyncReadPipeline   DmaAsyncBackend
+==========  =========================  ==================  ==================
 
-(The read side pairs SyncReadPipeline with the same backend for the
-synchronous variants and AsyncReadPipeline with DmaAsyncBackend for
-EasyIO/Naive.)
+How the caller waits follows from the pair: NOVA-DMA's backend
+busy-polls, Odinfs's parks and pays a kernel wakeup, and the EasyIO
+and Naive pipelines return one pending event per descriptor batch
+(:func:`~repro.io.pipeline.batched_pending`).  EasyIO and Naive fall
+back to a :class:`MemcpyBackend` for small or degraded writes.
 """
 
 from repro.io.backends import (
-    CopyBackend,
     DelegationBackend,
     DelegationRequest,
     DelegationThread,
@@ -28,31 +29,14 @@ from repro.io.backends import (
     DmaPollBackend,
     MemcpyBackend,
 )
-from repro.io.completion import (
-    BatchedPendingCompletion,
-    BusyPollCompletion,
-    CompletionStrategy,
-    ParkAndWakeCompletion,
-)
-from repro.io.middleware import (
-    AdmissionControl,
-    DeadlineGate,
-    Level2Gate,
-    OpCounters,
-    SupervisionPolicy,
-)
-from repro.io.persist import (
-    ElidingPagePersister,
-    PagePersister,
-    VerifyingPagePersister,
-)
+from repro.io.persist import PagePersister, VerifyingPagePersister
 from repro.io.pipeline import (
     AsyncReadPipeline,
-    IoPipeline,
     OrderedAsyncWritePipeline,
     OrderlessWritePipeline,
     SyncReadPipeline,
     SyncWritePipeline,
+    batched_pending,
 )
 from repro.io.plan import (
     CowPrep,
@@ -66,37 +50,26 @@ from repro.io.plan import (
 from repro.io.supervision import DmaJob, FaultSupervisor
 
 __all__ = [
-    "AdmissionControl",
     "AsyncReadPipeline",
-    "BatchedPendingCompletion",
-    "BusyPollCompletion",
-    "CompletionStrategy",
-    "CopyBackend",
     "CowPrep",
-    "DeadlineGate",
     "DelegationBackend",
     "DelegationRequest",
     "DelegationThread",
     "DmaAsyncBackend",
     "DmaJob",
     "DmaPollBackend",
-    "ElidingPagePersister",
     "Extent",
     "FaultSupervisor",
-    "IoPipeline",
     "IoPlan",
     "IoPlanner",
-    "Level2Gate",
     "MemcpyBackend",
-    "OpCounters",
     "OrderedAsyncWritePipeline",
     "OrderlessWritePipeline",
     "PagePersister",
-    "ParkAndWakeCompletion",
-    "SupervisionPolicy",
     "SyncReadPipeline",
     "SyncWritePipeline",
     "VerifyingPagePersister",
+    "batched_pending",
     "contiguous_runs",
     "extent_runs",
     "run_sizes",

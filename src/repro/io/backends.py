@@ -1,5 +1,5 @@
-"""Pluggable copy backends: the four data-movement policies of the
-paper's evaluation (§6), behind one interface.
+"""Copy backends: the four data-movement policies of the paper's
+evaluation (§6).
 
 A backend moves the bytes an :class:`~repro.io.plan.IoPlan` describes:
 
@@ -12,12 +12,14 @@ A backend moves the bytes an :class:`~repro.io.plan.IoPlan` describes:
 * :class:`DelegationBackend` -- background delegation threads on
   reserved cores (Odinfs).
 
-Backends charge the *caller's* CPU exactly as the legacy inlined paths
-did: submission/dispatch costs land in the "memcpy" phase, and
-synchronous backends persist the pages before returning.  Counters are
-bumped through the :class:`~repro.io.middleware.OpCounters` stats
-stage so the per-variant accounting (``dma_writes``, ``memcpy_ops``,
-...) stays on the filesystem object where tests read it.
+Synchronous backends (``write(ctx, plan)`` / ``read(ctx, plan)``)
+return once the data has moved and, for writes, persisted; the
+asynchronous one submits and returns in-flight jobs.  Each backend
+also owns how its caller waits: :class:`DmaPollBackend` busy-polls,
+:class:`DelegationBackend` parks and pays the wakeup.  Backends charge
+the *caller's* CPU (submission/dispatch costs land in the "memcpy"
+phase) and bump the per-variant op counters (``dma_writes``,
+``memcpy_ops``, ...) directly on the filesystem object.
 """
 
 from __future__ import annotations
@@ -31,22 +33,8 @@ from repro.io.supervision import DmaJob
 from repro.sim import Store
 
 
-class CopyBackend:
-    """Interface marker for data-movement backends.
-
-    Synchronous backends implement ``write(ctx, plan)`` /
-    ``read(ctx, plan)`` as process generators that return once the
-    data has moved (and, for writes, persisted).  Asynchronous
-    backends submit and return in-flight work instead.
-    """
-
-    name = "none"
-
-
-class MemcpyBackend(CopyBackend):
+class MemcpyBackend:
     """Synchronous CPU memcpy into/out of slow memory (NOVA's path)."""
-
-    name = "memcpy"
 
     def __init__(self, memory, persister):
         self.memory = memory
@@ -70,7 +58,7 @@ class MemcpyBackend(CopyBackend):
                                                    tag=plan.tag))
 
 
-class DmaPollBackend(CopyBackend):
+class DmaPollBackend:
     """Synchronous DMA offload, busy-polled (NOVA-DMA / Fastmove).
 
     The interface stays synchronous -- the CPU core busy-polls the
@@ -80,39 +68,50 @@ class DmaPollBackend(CopyBackend):
     under high concurrency -- the §2.2 multi-channel penalty bites).
     """
 
-    name = "dma-poll"
-
-    def __init__(self, dma, model, memory, persister, completion, counters,
-                 offload_threshold: int = 4096):
-        self.dma = dma
-        self.model = model
-        self.memory = memory
+    def __init__(self, fs, persister):
+        self.fs = fs
+        self.dma = fs.platform.dma
+        self.memory = fs.memory
         self.persister = persister
-        self.completion = completion
-        self.counters = counters
-        #: Below this size the DMA engine loses to memcpy, so like
-        #: Fastmove we keep small copies on the CPU.
-        self.offload_threshold = offload_threshold
+        #: Small copies stay on the CPU (see NovaDmaFS.OFFLOAD_THRESHOLD).
+        self.offload_threshold = fs.OFFLOAD_THRESHOLD
 
     def _pick_channel(self):
         """Least-loaded across *all* channels (no traffic separation)."""
         return self.dma.least_loaded()
 
+    @staticmethod
+    def _busy_poll(ctx, descs):
+        """Spin until every descriptor completes.
+
+        The elapsed time is charged to the "memcpy" phase -- to the
+        software it is indistinguishable from a slow synchronous copy.
+        """
+        engine = ctx.engine
+        for desc in descs:
+            if not desc.done.triggered:
+                t0 = engine.now
+                yield desc.done
+                elapsed = engine.now - t0
+                if ctx.record:
+                    ctx.breakdown["memcpy"] += elapsed
+                ctx.cpu_ns += elapsed
+
     def write(self, ctx, plan: IoPlan):
         """Submit, busy-poll, persist (strictly ordered)."""
         if plan.nbytes <= self.offload_threshold:
-            self.counters.bump("memcpy_ops")
+            self.fs.memcpy_ops += 1
             for run_bytes in plan.run_sizes:
                 yield from ctx.timed_cpu(
                     "memcpy", self.memory.cpu_copy(run_bytes, write=True,
                                                    tag=plan.tag))
         else:
-            self.counters.bump("dma_writes")
+            self.fs.dma_writes += 1
             channel = self._pick_channel()
             descs = [DmaDescriptor(run_bytes, write=True, tag=plan.tag)
                      for run_bytes in plan.run_sizes]
             yield from ctx.timed_cpu("memcpy", channel.submit_all(descs))
-            yield from self.completion.wait(ctx, descs)
+            yield from self._busy_poll(ctx, descs)
         self.persister.persist(plan.page_ids, plan.contents)
 
     def read(self, ctx, plan: IoPlan):
@@ -122,19 +121,19 @@ class DmaPollBackend(CopyBackend):
                 continue
             run_bytes = extent.nbytes
             if run_bytes <= self.offload_threshold:
-                self.counters.bump("memcpy_ops")
+                self.fs.memcpy_ops += 1
                 yield from ctx.timed_cpu(
                     "memcpy", self.memory.cpu_copy(run_bytes, write=False,
                                                    tag=plan.tag))
             else:
-                self.counters.bump("dma_reads")
+                self.fs.dma_reads += 1
                 channel = self._pick_channel()
                 desc = DmaDescriptor(run_bytes, write=False, tag=plan.tag)
                 yield from ctx.timed_cpu("memcpy", channel.submit([desc]))
-                yield from self.completion.wait(ctx, [desc])
+                yield from self._busy_poll(ctx, [desc])
 
 
-class DmaAsyncBackend(CopyBackend):
+class DmaAsyncBackend:
     """Asynchronous DMA through the channel manager (EasyIO §4).
 
     Writes and reads are split per the traffic policy (B-apps: 64 KB),
@@ -143,13 +142,11 @@ class DmaAsyncBackend(CopyBackend):
     pending event tracks them.
     """
 
-    name = "dma-async"
-
-    def __init__(self, cm, memory, persister, counters):
-        self.cm = cm
-        self.memory = memory
+    def __init__(self, fs, persister):
+        self.fs = fs
+        self.cm = fs.cm
+        self.memory = fs.memory
         self.persister = persister
-        self.counters = counters
 
     def select_write_channel(self, ctx):
         """The channel-manager's pick for this write (None = degrade)."""
@@ -204,12 +201,12 @@ class DmaAsyncBackend(CopyBackend):
             channel = (None if force_sync
                        else self.cm.admit_read(run_bytes, ctx.app))
             if channel is None:
-                self.counters.bump("memcpy_reads")
+                self.fs.memcpy_reads += 1
                 yield from ctx.timed_cpu(
                     "memcpy", self.memory.cpu_copy(run_bytes, write=False,
                                                    tag=plan.tag))
             else:
-                self.counters.bump("dma_reads")
+                self.fs.dma_reads += 1
                 # B-apps' bulk reads are split to 64 KB like their
                 # writes, so a channel suspension never wastes a
                 # large in-flight transfer (§4.4).
@@ -257,7 +254,7 @@ class DelegationThread:
             req.done.succeed()
 
 
-class DelegationBackend(CopyBackend):
+class DelegationBackend:
     """NUMA-aware delegation to reserved cores (Odinfs).
 
     The application thread splits each request into chunks, fans them
@@ -266,14 +263,11 @@ class DelegationBackend(CopyBackend):
     whole-machine utilisation, not the application's own throughput).
     """
 
-    name = "delegation"
-
-    def __init__(self, engine, model, memory, cores, persister, completion):
+    def __init__(self, engine, model, memory, cores, persister):
         self.engine = engine
         self.model = model
         self.memory = memory
         self.persister = persister
-        self.completion = completion
         self.threads = [DelegationThread(self, core) for core in cores]
         self._rr = 0
         self.requests_delegated = 0
@@ -295,7 +289,16 @@ class DelegationBackend(CopyBackend):
             thread.queue.put(req)
             events.append(req.done)
             self.requests_delegated += 1
-        yield from self.completion.wait(ctx, events)
+        yield from self._park_and_wake(ctx, events)
+
+    def _park_and_wake(self, ctx, events):
+        """Sleep until every chunk lands, then pay the kernel wakeup."""
+        engine = ctx.engine
+        t0 = engine.now
+        yield from ctx.idle_wait(engine.all_of(events))
+        yield ctx.charge("syscall", self.model.kernel_wakeup_cost)
+        if ctx.record:
+            ctx.breakdown["wait"] += engine.now - t0
 
     def write(self, ctx, plan: IoPlan):
         """Delegate the logical write, then persist the CoW pages."""

@@ -14,24 +14,20 @@ from repro.fs.pmimage import ELIDED
 
 
 class PagePersister:
-    """Record new page contents as durable (data landed)."""
+    """Record new page contents as durable (data landed).
 
-    #: Whether this persister discards payloads (see ElidingPagePersister).
-    elides = False
+    ``engine`` is only for tracing: the persister never schedules
+    anything.
+    """
 
-    #: Engine reference for tracing (set by the pipeline builders); the
-    #: persister itself never schedules anything, so this stays optional.
-    engine = None
-
-    def __init__(self, image):
+    def __init__(self, image, engine):
         self.image = image
+        self.engine = engine
 
     def _trace_persist(self, pids) -> None:
-        engine = self.engine
-        if engine is not None:
-            tr = engine.tracer
-            if tr is not None:
-                tr.point("pages_persist", track="persist", pids=list(pids))
+        tr = self.engine.tracer
+        if tr is not None:
+            tr.point("pages_persist", track="persist", pids=list(pids))
 
     def persist(self, pids, contents) -> None:
         image = self.image
@@ -49,36 +45,6 @@ class PagePersister:
         return _persist
 
 
-class ElidingPagePersister(PagePersister):
-    """Count pages as durable without storing any contents.
-
-    The payload-elision persister for pure-performance sweeps: payloads
-    are never inspected by throughput/latency figures, and the
-    simulated *timing* of persistence is unchanged (persisting is
-    synchronous bookkeeping at the completion instant -- it schedules
-    no events and charges no time), so every measured quantity is
-    byte-identical with or without it.  It must never be combined with
-    recording images (crash replay needs the page store) or fault
-    plans (media-fault verification reads pages back) -- the pipeline
-    builders guard for that.
-    """
-
-    #: Lets backends skip assembling per-chunk content lists.
-    elides = True
-
-    def __init__(self, image):
-        super().__init__(image)
-        self.pages_persisted = 0
-
-    def persist(self, pids, contents) -> None:
-        self.pages_persisted += len(pids)
-        self._trace_persist(pids)
-
-    def on_complete(self, pids, contents):
-        """None: the DMA completion path skips absent callbacks."""
-        return None
-
-
 class VerifyingPagePersister(PagePersister):
     """Persist pages, detecting media faults via the checksum hook.
 
@@ -91,8 +57,8 @@ class VerifyingPagePersister(PagePersister):
     #: Give up on a page after this many checksum-verify rewrites.
     MEDIA_REWRITE_MAX = 8
 
-    def __init__(self, image, fault_stats, rewrite_max: int = None):
-        super().__init__(image)
+    def __init__(self, image, engine, fault_stats, rewrite_max: int = None):
+        super().__init__(image, engine)
         self.fault_stats = fault_stats
         self.rewrite_max = (rewrite_max if rewrite_max is not None
                             else self.MEDIA_REWRITE_MAX)

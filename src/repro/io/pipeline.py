@@ -1,9 +1,9 @@
 """The I/O pipelines: how an operation is staged, not how bytes move.
 
-Every filesystem variant's read and write path is one of these four
-pipelines, composed declaratively from a planner, middleware stages,
-a copy backend, and a completion strategy (see the per-variant
-``_build_pipeline`` methods):
+Every filesystem variant's read and write path is one of these five
+classes, built over a copy backend by the variant's
+``_build_pipelines`` (planning goes through the filesystem's
+``planner``):
 
 * :class:`SyncWritePipeline` / :class:`SyncReadPipeline` -- strictly
   ordered: copy + persist, then the metadata commit, then unlock
@@ -17,10 +17,12 @@ a copy backend, and a completion strategy (see the per-variant
 * :class:`AsyncReadPipeline` -- EasyIO reads: per-extent admission,
   unlock immediately, completion observed after return.
 
-Pipelines own stage *ordering* (level-2 gate -> contention charge ->
-deadline check -> admission -> backend -> supervision -> stats); all
-data movement lives in the backends and all metadata stays on the
-filesystem (``_commit_write`` and friends).
+Each ``run`` is the whole staging in order (level-2 wait, contention
+charge, deadline check, admission, copy, supervision, counters).  The
+policies it consults live on the filesystem (``_wait_level2``,
+``_forces_sync``, ``_supervised``); all data movement lives in the
+backends and all metadata stays on the filesystem (``_commit_write``
+and friends).
 """
 
 from __future__ import annotations
@@ -31,38 +33,19 @@ from repro.fs.nova import OpResult
 from repro.io.supervision import DmaJob
 
 
-class IoPipeline:
-    """One filesystem's I/O composition: a write and a read pipeline."""
-
-    def __init__(self, write, read, planner, level2=None):
-        self.write = write
-        self.read = read
-        self.planner = planner
-        #: The level-2 gate (two-level locking), where the variant has
-        #: one; ``NovaFS._wait_level2`` also waits on it for truncate.
-        self.level2 = level2
-
-    def describe(self) -> dict:
-        """Backend/completion matrix entry for this composition."""
-        out = {"write": type(self.write).__name__,
-               "read": type(self.read).__name__}
-        for side in ("write", "read"):
-            stage = getattr(self, side)
-            backend = getattr(stage, "backend", None)
-            if backend is not None:
-                out[f"{side}_backend"] = backend.name
-            completion = getattr(stage, "completion", None)
-            if completion is not None:
-                out[f"{side}_completion"] = completion.name
-        return out
+def batched_pending(engine, descs):
+    """The one pending event EasyIO's syscall returns: it fires once
+    every descriptor of the batch has resolved (orderless operation)."""
+    if len(descs) == 1:
+        return descs[0].done
+    return engine.all_of([d.done for d in descs])
 
 
 class SyncWritePipeline:
     """Strictly ordered write: data pages first, then the commit."""
 
-    def __init__(self, fs, planner, backend):
+    def __init__(self, fs, backend):
         self.fs = fs
-        self.planner = planner
         self.backend = backend
 
     def run(self, ctx, m, offset: int, nbytes: int, payload):
@@ -71,9 +54,9 @@ class SyncWritePipeline:
             yield from fs._charge_lock_contention(ctx)
             ctx.trace_begin("plan")
             try:
-                prep = yield from self.planner.prepare_cow(ctx, m, offset,
-                                                           nbytes, payload)
-                plan = self.planner.write_plan(m, prep)
+                prep = yield from fs.planner.prepare_cow(ctx, m, offset,
+                                                         nbytes, payload)
+                plan = fs.planner.write_plan(m, prep)
             finally:
                 ctx.trace_end("plan")
             # Data pages first (strict order)...
@@ -92,16 +75,15 @@ class SyncWritePipeline:
 class SyncReadPipeline:
     """Strictly ordered read: copy every extent, then return."""
 
-    def __init__(self, fs, planner, backend):
+    def __init__(self, fs, backend):
         self.fs = fs
-        self.planner = planner
         self.backend = backend
 
     def run(self, ctx, m, offset: int, nbytes: int, runs, want_data: bool):
         fs = self.fs
         try:
-            plan = self.planner.read_plan_from_runs(m.ino, offset, nbytes,
-                                                    runs)
+            plan = fs.planner.read_plan_from_runs(m.ino, offset, nbytes,
+                                                  runs)
             ctx.trace_begin("copy")
             try:
                 yield from self.backend.read(ctx, plan)
@@ -122,39 +104,34 @@ class OrderlessWritePipeline:
     The log entry carries the SNs of the write's DMA descriptors, so
     the metadata commit proceeds *in parallel* with the data copy; the
     file lock is released as soon as the commit lands, and the level-2
-    gate regulates later conflicts against the pending SNs.
+    check (``EasyIoFS._wait_level2``) regulates later conflicts against
+    the pending SNs.
     """
 
-    def __init__(self, fs, planner, level2, deadline, admission, backend,
-                 fallback, completion, supervision, stats):
+    def __init__(self, fs, backend, fallback):
         self.fs = fs
-        self.planner = planner
-        self.level2 = level2
-        self.deadline = deadline
-        self.admission = admission
         self.backend = backend
         #: Degradation target: the memcpy backend (verifying persister).
         self.fallback = fallback
-        self.completion = completion
-        self.supervision = supervision
-        self.stats = stats
 
     def run(self, ctx, m, offset: int, nbytes: int, payload):
         fs = self.fs
         try:
             # Write-write conflict: an unfinished earlier write blocks us.
-            yield from self.level2.wait(ctx, m)
+            yield from fs._wait_level2(ctx, m)
             yield from fs._charge_lock_contention(ctx)
-            self.deadline.check(ctx, m)
+            if ctx.deadline is not None:
+                # Clean abort point: nothing allocated or submitted yet.
+                ctx.check_deadline(f"write ino{m.ino} pre-submit")
             ctx.trace_begin("plan")
             try:
-                prep = yield from self.planner.prepare_cow(ctx, m, offset,
-                                                           nbytes, payload)
+                prep = yield from fs.planner.prepare_cow(ctx, m, offset,
+                                                         nbytes, payload)
             finally:
                 ctx.trace_end("plan")
             offload = fs.cm.should_offload_write(nbytes)
-            if offload and self.admission.forces_sync(ctx):
-                self.admission.note_degraded()
+            if offload and fs._forces_sync(ctx):
+                fs.overload_stats.degraded_to_sync += 1
                 offload = False
             channel = (self.backend.select_write_channel(ctx) if offload
                        else None)
@@ -165,8 +142,8 @@ class OrderlessWritePipeline:
                 if offload:
                     fs.fault_stats.degraded_writes += 1
                     fs.fault_stats.degraded_bytes += nbytes
-                self.stats.bump("memcpy_writes")
-                plan = self.planner.write_plan(m, prep)
+                fs.memcpy_writes += 1
+                plan = fs.planner.write_plan(m, prep)
                 ctx.trace_begin("copy")
                 try:
                     yield from self.fallback.write(ctx, plan)
@@ -176,8 +153,8 @@ class OrderlessWritePipeline:
                 m.pending_sns = ()
                 m.pending_done = None
                 return OpResult(value=nbytes, ctx=ctx)
-            self.stats.bump("dma_writes")
-            plan = self.planner.write_plan(m, prep)
+            fs.dma_writes += 1
+            plan = fs.planner.write_plan(m, prep)
             ctx.trace_begin("submit")
             try:
                 jobs = yield from self.backend.submit_write(ctx, plan,
@@ -185,18 +162,19 @@ class OrderlessWritePipeline:
             finally:
                 ctx.trace_end("submit")
             sns = tuple((j.channel.channel_id, j.desc.sn) for j in jobs)
-            if self.supervision.active():
+            if fs._supervised():
                 pending = fs.engine.event()
                 _entry, log_idx = yield from fs._commit_write(
                     ctx, m, prep, sns=sns, free_on=pending)
                 fs.engine.process(
-                    self.supervision.supervisor.supervise_write(
+                    fs.supervisor.supervise_write(
                         ctx.app, m, jobs, sns, log_idx, pending,
                         deadline=ctx.deadline),
                     name=f"supervise-w-ino{m.ino}")
                 m.pending_done = pending
             else:
-                pending = self.completion.pending([j.desc for j in jobs])
+                pending = batched_pending(fs.engine,
+                                          [j.desc for j in jobs])
                 # Orderless: the metadata commit (with embedded SNs)
                 # runs while the DMA engine moves the data.  The
                 # replaced pages are recycled only once it has landed.
@@ -221,27 +199,24 @@ class OrderedAsyncWritePipeline:
     the two prolongs the critical section (Figure 11).
     """
 
-    def __init__(self, fs, planner, backend, fallback, completion, stats):
+    def __init__(self, fs, backend, fallback):
         self.fs = fs
-        self.planner = planner
         self.backend = backend
         self.fallback = fallback
-        self.completion = completion
-        self.stats = stats
 
     def run(self, ctx, m, offset: int, nbytes: int, payload):
         fs = self.fs
         yield from fs._charge_lock_contention(ctx)
         ctx.trace_begin("plan")
         try:
-            prep = yield from self.planner.prepare_cow(ctx, m, offset,
-                                                       nbytes, payload)
+            prep = yield from fs.planner.prepare_cow(ctx, m, offset,
+                                                     nbytes, payload)
         finally:
             ctx.trace_end("plan")
         if not fs.cm.should_offload_write(nbytes):
             try:
-                self.stats.bump("memcpy_writes")
-                plan = self.planner.write_plan(m, prep)
+                fs.memcpy_writes += 1
+                plan = fs.planner.write_plan(m, prep)
                 ctx.trace_begin("copy")
                 try:
                     yield from self.fallback.write(ctx, plan)
@@ -251,14 +226,14 @@ class OrderedAsyncWritePipeline:
             finally:
                 m.lock.release_write()
             return OpResult(value=nbytes, ctx=ctx)
-        self.stats.bump("dma_writes")
-        plan = self.planner.write_plan(m, prep)
+        fs.dma_writes += 1
+        plan = fs.planner.write_plan(m, prep)
         ctx.trace_begin("submit")
         try:
             jobs = yield from self.backend.submit_write(ctx, plan)
         finally:
             ctx.trace_end("submit")
-        pending = self.completion.pending([j.desc for j in jobs])
+        pending = batched_pending(fs.engine, [j.desc for j in jobs])
 
         def commit_syscall(ctx2):
             # Second interaction with the filesystem (§3): metadata
@@ -283,24 +258,19 @@ class AsyncReadPipeline:
     (CoW plus deferred page recycling keep the data stable).
     """
 
-    def __init__(self, fs, planner, admission, backend, completion,
-                 supervision):
+    def __init__(self, fs, backend):
         self.fs = fs
-        self.planner = planner
-        self.admission = admission
         self.backend = backend
-        self.completion = completion
-        self.supervision = supervision
 
     def run(self, ctx, m, offset: int, nbytes: int, runs, want_data: bool):
         fs = self.fs
         jobs: List[DmaJob] = []
         try:
-            force_sync = self.admission.forces_sync(ctx)
+            force_sync = fs._forces_sync(ctx)
             if force_sync and any(pages for _off, pages in runs):
-                self.admission.note_degraded()
-            plan = self.planner.read_plan_from_runs(m.ino, offset, nbytes,
-                                                    runs)
+                fs.overload_stats.degraded_to_sync += 1
+            plan = fs.planner.read_plan_from_runs(m.ino, offset, nbytes,
+                                                  runs)
             ctx.trace_begin("submit")
             try:
                 jobs = yield from self.backend.read(ctx, plan, force_sync)
@@ -314,13 +284,13 @@ class AsyncReadPipeline:
             m.lock.release_read()
         pending = None
         if jobs:
-            if self.supervision.active():
+            if fs._supervised():
                 pending = fs.engine.event()
                 fs.engine.process(
-                    self.supervision.supervisor.supervise_read(
+                    fs.supervisor.supervise_read(
                         ctx.app, m.ino, jobs, pending,
                         deadline=ctx.deadline),
                     name=f"supervise-r-ino{m.ino}")
             else:
-                pending = self.completion.pending([j.desc for j in jobs])
+                pending = batched_pending(fs.engine, [j.desc for j in jobs])
         return OpResult(value=value, pending=pending, ctx=ctx)

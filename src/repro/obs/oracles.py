@@ -94,10 +94,6 @@ class AckImpliesDurable(Oracle):
     must all be durable.  This is exactly EasyIO's contract: the
     pending event fires only after the DMA's ``on_complete`` persisted
     the data (or the degradation path did).
-
-    Requires a persisting pipeline -- payload-elision mode skips the
-    DMA-completion persist call entirely, so do not run this oracle
-    over elided traces.
     """
 
     name = "ack-implies-durable"

@@ -21,27 +21,16 @@ from repro.sim.engine import (
     WaitTimeout,
 )
 from repro.sim.queues import TimingWheelQueue
-from repro.sim.sync import (
-    Barrier,
-    Channel,
-    Gate,
-    Lock,
-    RWLock,
-    Semaphore,
-    Store,
-)
+from repro.sim.sync import Channel, Gate, RWLock, Store
 
 __all__ = [
-    "Barrier",
     "Channel",
     "Engine",
     "Event",
     "Gate",
     "Interrupt",
-    "Lock",
     "Process",
     "RWLock",
-    "Semaphore",
     "SimulationError",
     "Store",
     "TimingWheelQueue",

@@ -70,7 +70,7 @@ class WaitTimeout(Exception):
     """A timed wait expired before it was granted.
 
     Raised into processes waiting on a ``timeout=``-bounded primitive
-    (:meth:`~repro.sim.sync.Semaphore.acquire` and friends) and by any
+    (:meth:`~repro.sim.sync.RWLock.acquire_write` and friends) and by any
     other deadline-bounded wait built on :meth:`Event.cancel`.
     """
 
@@ -685,14 +685,6 @@ class Engine:
     def _schedule(self, event: Event, delay: int = 0) -> None:
         self._wheel.push(event, self._now + delay)
 
-    def call_at(self, when: int, fn: Callable[[], None]) -> Event:
-        """Run ``fn`` at absolute time ``when`` (must not be in the past)."""
-        if when < self._now:
-            raise SimulationError(f"call_at({when}) is in the past (now={self._now})")
-        ev = self.timeout(when - self._now)
-        ev.add_callback(lambda _e: fn())
-        return ev
-
     # -- main loop ---------------------------------------------------
     def run(self, until: Optional[int] = None) -> None:
         """Run until the event queue drains or ``until`` ns is reached.
@@ -805,6 +797,3 @@ class Engine:
                 self._now = prev_now
         return fired
 
-    def peek(self) -> Optional[int]:
-        """Time of the next scheduled event, or None if the queue is empty."""
-        return self._wheel.peek_when()

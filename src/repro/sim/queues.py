@@ -26,7 +26,7 @@ and the golden-equivalence suite pins it end-to-end.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from typing import List
 
 _CANCELLED = 3  # mirrors repro.sim.engine's event-state constant
 
@@ -114,12 +114,6 @@ class TimingWheelQueue:
                 self._whens = whens
                 return True
         return False
-
-    def peek_when(self) -> Optional[int]:
-        while not self._whens:
-            if not self._cascade():
-                return None
-        return self._whens[0]
 
     def note_cancelled(self, event) -> None:
         dead = self._dead + 1

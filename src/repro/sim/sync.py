@@ -60,111 +60,6 @@ def _timed(engine: Engine, waiter: Event, timeout: Optional[int],
     return outer
 
 
-class Semaphore:
-    """Counting semaphore with FIFO waiters.
-
-    >>> eng = Engine()
-    >>> sem = Semaphore(eng, 1)
-    >>> def user():
-    ...     yield sem.acquire()
-    ...     yield eng.timeout(5)
-    ...     sem.release()
-    """
-
-    __slots__ = ("engine", "capacity", "_available", "_waiters")
-
-
-    def __init__(self, engine: Engine, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError(f"semaphore capacity must be >= 1, got {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self._available = capacity
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self._available
-
-    @property
-    def queued(self) -> int:
-        """Number of processes waiting to acquire (live waiters only)."""
-        return sum(1 for w in self._waiters if not w.cancelled)
-
-    def acquire(self, timeout: Optional[int] = None) -> Event:
-        """Return an event that fires once a slot is held.
-
-        With ``timeout=`` the event instead fails with
-        :class:`WaitTimeout` if no slot frees up in time; the queued
-        waiter is cancelled and never takes a slot.
-        """
-        ev = self.engine.event()
-        if self._available > 0:
-            self._available -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return _timed(self.engine, ev, timeout,
-                      f"{type(self).__name__}.acquire")
-
-    def try_acquire(self) -> bool:
-        """Take a slot immediately if one is free."""
-        if self._available > 0:
-            self._available -= 1
-            return True
-        return False
-
-    def release(self) -> None:
-        """Free a slot, waking the oldest live waiter if any."""
-        while self._waiters and self._waiters[0].cancelled:
-            self._waiters.popleft()
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            if self._available >= self.capacity:
-                raise SimulationError("release() without matching acquire()")
-            self._available += 1
-
-
-class Lock(Semaphore):
-    """Mutual exclusion lock (a semaphore of capacity one).
-
-    Adds :attr:`locked` for introspection and an ``owner`` tag useful
-    when debugging deadlocks.
-    """
-
-    __slots__ = ("name", "owner")
-
-
-    def __init__(self, engine: Engine, name: str = "lock"):
-        super().__init__(engine, capacity=1)
-        self.name = name
-        self.owner: Optional[object] = None
-
-    @property
-    def locked(self) -> bool:
-        """Whether the lock is currently held."""
-        return self._available == 0
-
-    def acquire(self, owner: Optional[object] = None,
-                timeout: Optional[int] = None) -> Event:
-        ev = super().acquire(timeout=timeout)
-        if ev.triggered:
-            if ev.ok:
-                self.owner = owner
-        else:
-            def on_grant(e: Event) -> None:
-                if e.ok:  # a WaitTimeout failure never took the lock
-                    self.owner = owner
-            ev.add_callback(on_grant)
-        return ev
-
-    def release(self) -> None:
-        self.owner = None
-        super().release()
-
-
 class Store:
     """Unbounded FIFO queue of items with blocking ``get``.
 
@@ -440,42 +335,3 @@ class RWLock:
             self._waiters.popleft()
             self._readers += 1
             ev.succeed()
-
-
-class Barrier:
-    """N-party rendezvous: the barrier trips when ``parties`` arrive."""
-
-    __slots__ = ("engine", "parties", "_arrived", "_waiters")
-
-
-    def __init__(self, engine: Engine, parties: int):
-        if parties < 1:
-            raise SimulationError(f"barrier parties must be >= 1, got {parties}")
-        self.engine = engine
-        self.parties = parties
-        self._arrived = 0
-        self._waiters: Deque[Event] = deque()
-
-    def wait(self, timeout: Optional[int] = None) -> Event:
-        """Event that fires once all parties have arrived.
-
-        A timed-out party withdraws its arrival: the barrier then needs
-        that many fresh arrivals again.
-        """
-        ev = self.engine.event()
-        self._arrived += 1
-        if self._arrived >= self.parties:
-            self._arrived = 0
-            while self._waiters:
-                w = self._waiters.popleft()
-                if not w.cancelled:
-                    w.succeed()
-            ev.succeed()
-            return ev
-        self._waiters.append(ev)
-
-        def withdraw() -> None:
-            self._arrived -= 1
-
-        return _timed(self.engine, ev, timeout, "Barrier.wait",
-                      on_timeout=withdraw)

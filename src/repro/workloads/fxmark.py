@@ -48,10 +48,6 @@ class FxmarkConfig:
     single_node: bool = False
     steal: bool = True
     model: object = None          # optional CostModel override
-    #: Payload-elision mode: skip storing page contents (identical
-    #: simulated timing, see ElidingPagePersister) -- for pure
-    #: performance sweeps; never for crash/fault/recovery runs.
-    elide: bool = False
 
     def __post_init__(self):
         if self.op not in ("write", "read"):
@@ -136,7 +132,7 @@ def _op_once(fs, ctx, op: str, ino: int, offset: int, size: int):
 def run_fxmark(cfg: FxmarkConfig) -> FxmarkResult:
     """Execute one microbenchmark configuration and return its result."""
     platform = make_platform(single_node=cfg.single_node, model=cfg.model)
-    fs = make_fs(cfg.kind, platform, elide_payloads=cfg.elide)
+    fs = make_fs(cfg.kind, platform)
     engine = platform.engine
     n = cfg.workers
     if n < 1:
@@ -282,14 +278,14 @@ def run_fxmark(cfg: FxmarkConfig) -> FxmarkResult:
 
 def measure_single_op(kind: str, op: str, io_size: int,
                       single_node: bool = False, repeats: int = 32,
-                      model=None, elide: bool = False):
+                      model=None):
     """Single-threaded per-op latency + CPU breakdown (Figures 1 and 8).
 
     One worker, busy-polling completions, private preallocated file.
     Returns ``(mean_latency_ns, mean_cpu_ns, breakdown_dict)``.
     """
     platform = make_platform(single_node=single_node, model=model)
-    fs = make_fs(kind, platform, elide_payloads=elide)
+    fs = make_fs(kind, platform)
     engine = platform.engine
     file_bytes = max(4 * 1024 * 1024, io_size * 4)
     slots = file_bytes // io_size

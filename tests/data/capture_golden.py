@@ -43,12 +43,12 @@ def fig02():
     return out
 
 
-def fig08(elide=False):
+def fig08():
     out = {}
     for op in ("write", "read"):
         for kind in FIG08_KINDS:
             for size in FIG08_SIZES:
-                lat, cpu, bd = measure_single_op(kind, op, size, elide=elide)
+                lat, cpu, bd = measure_single_op(kind, op, size)
                 out[f"{op}/{kind}/{size}"] = {
                     "lat": lat, "cpu": cpu,
                     "breakdown": {k: bd[k] for k in sorted(bd)},
@@ -56,9 +56,9 @@ def fig08(elide=False):
     return out
 
 
-def fig09(elide=False, processes=1):
-    """The 16-point sweep.  ``elide``/``processes`` must not change a
-    single number (the equivalence tests run all combinations)."""
+def fig09(processes=1):
+    """The 16-point sweep.  ``processes`` must not change a single
+    number (the equivalence tests run it serial and parallel)."""
     keys, configs = [], []
     for op in ("write", "read"):
         for kind in FIG09_KINDS:
@@ -66,7 +66,7 @@ def fig09(elide=False, processes=1):
                 keys.append(f"{op}/{kind}/{workers}")
                 configs.append(FxmarkConfig(
                     kind=kind, op=op, io_size=16384, workers=workers,
-                    duration_us=1200, warmup_us=300, elide=elide))
+                    duration_us=1200, warmup_us=300))
     return dict(zip(keys, run_sweep(configs, processes=processes)))
 
 

@@ -141,6 +141,22 @@ class TestTwoLevelLocking:
         assert waited > 0, "level-2 lock should have blocked the writer"
         assert first_done
 
+    def test_truncate_waits_for_previous_write_dma(self, fs):
+        """The truncate path runs the same level-2 check as writes."""
+        ino = do(fs, fs.create(fs.context(), "/a"))
+        def body():
+            r1 = yield from fs.write(fs.context(), ino, 0, 65536)
+            assert r1.is_async
+            ctx2 = fs.context()
+            yield from fs.truncate(ctx2, ino, 4096)
+            landed = all(fs.platform.dma.channel(c).is_complete(sn)
+                         for c, sn in r1.sns)
+            return ctx2.breakdown["wait"], landed
+        waited, landed = run_proc(fs.engine, body())
+        assert waited > 0, "level-2 lock should have blocked the truncate"
+        assert landed
+        assert fs._mem[ino].size == 4096
+
     def test_read_after_write_waits_for_dma(self, fs):
         ino = do(fs, fs.create(fs.context(), "/a"))
         settle(fs, fs.write(fs.context(), ino, 0, 65536))

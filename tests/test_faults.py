@@ -16,6 +16,7 @@ from repro.fs.recovery import completion_buffer_validator
 from repro.fs.structures import WriteEntry
 from repro.hw.dma import DmaDescriptor
 from repro.hw.platform import Platform, PlatformConfig
+from repro.obs.trace import Tracer
 from tests.conftest import run_proc
 
 
@@ -319,6 +320,51 @@ class TestEasyIoRetry:
         run_proc(platform.engine, _write_n(fs))
         assert not fs.fault_stats.any_faults
         assert plan.trace == []
+
+
+class TestLevel2UnderFaults:
+    """Under a fault plan the level-2 check waits for the supervisor's
+    all-data-landed event, which resolves through failover or
+    degradation even when the original channel never completes."""
+
+    @pytest.mark.parametrize("plan_kwargs,fs_kwargs,resolved_by", [
+        (dict(seed=7, schedule=(ChannelHaltFault(0, 1),)), {},
+         "failovers"),
+        (dict(seed=3, p_chan_halt=1.0, max_faults=10**9),
+         dict(fault_tolerant=True), "degraded_writes"),
+    ], ids=["failover", "degradation"])
+    def test_second_write_waits_for_supervisor(self, plan_kwargs,
+                                               fs_kwargs, resolved_by):
+        platform, fs, plan = _faulty_fs(plan_kwargs, **fs_kwargs)
+        engine = platform.engine
+        engine.tracer = Tracer(engine)
+        nbytes = 256 * 1024
+        resolved_at = []
+
+        def body():
+            ino = yield from fs.create(fs.context(record=False), "/f")
+            r1 = yield from fs.write(fs.context(), ino, 0, nbytes,
+                                     _payload(1, nbytes))
+            supervised = fs._mem[ino].pending_done
+            assert supervised is r1.pending and not supervised.triggered
+            supervised.add_callback(lambda _e: resolved_at.append(engine.now))
+            r2 = yield from fs.write(fs.context(), ino, nbytes, nbytes,
+                                     _payload(2, nbytes))
+            if r2.is_async:
+                yield r2.pending
+            fs.cm.stop()   # halted channels may never readmit
+            return ino
+
+        ino = run_proc(engine, body())
+        assert getattr(fs.fault_stats, resolved_by) >= 1
+        # The only level-2 wait (the second write's) ends at the instant
+        # the supervisor resolves -- not when the original channel
+        # eventually completes its stranded SN.
+        assert [e.t for e in engine.tracer.events
+                if e.name == "level2" and e.ph == "E"] == resolved_at
+        m = fs._mem[ino]
+        assert fs._collect_data(m, 0, m.size) == \
+            _payload(1, nbytes) + _payload(2, nbytes)
 
 
 class TestRecoveryUnderFaults:

@@ -83,8 +83,8 @@ class TestWritePages:
             # deduplicated against the announcement in both images.
             img.enable_line_recording().announce_dma_pages(
                 0, 1, [9], [self._contents(elide=False)[2]])
-        # Line recording never sees elided payloads (they are refused
-        # together with recording images).
+        # Crash workloads write real payloads, so the line stream is
+        # exercised without the ELIDED marker.
         looped, bulk = self._both(lambda: PMImage(record=True), announce,
                                   elide=False)
         for img in (looped, bulk):

@@ -60,27 +60,12 @@ def test_fig09_throughput_latency_exact(golden):
 
 
 # ---------------------------------------------------------------------------
-# Payload-elision / parallel-runner equivalence: the performance modes
-# must reproduce the same golden numbers bit for bit.  (fig02 has no
-# filesystem data plane -- it measures raw copy bandwidth -- so there
-# is no elided variant of it to check.)
+# Parallel-runner equivalence: the multiprocessing sweep runner must
+# reproduce the serial golden numbers bit for bit.
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
-def test_fig08_elided_payloads_exact(golden):
-    _assert_exact(fig08(elide=True), golden["fig08"], "fig08[elide]")
-
-
-@pytest.mark.slow
-def test_fig09_elided_payloads_exact(golden):
-    _assert_exact(fig09(elide=True), golden["fig09"], "fig09[elide]")
-
-
-@pytest.mark.slow
 def test_fig09_parallel_runner_exact(golden):
-    # Elision plus the multiprocessing sweep runner -- exactly how the
-    # perf harness runs its "fast" configuration.
-    _assert_exact(fig09(elide=True, processes=2), golden["fig09"],
-                  "fig09[elide+parallel]")
+    _assert_exact(fig09(processes=2), golden["fig09"], "fig09[parallel]")
 
 
 # ---------------------------------------------------------------------------

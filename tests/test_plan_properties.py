@@ -103,7 +103,7 @@ class TestCowPrepProperties:
         rng = random.Random(42)
         fs = NovaFS(node, PMImage()).mount()
         ino = run_proc(fs.engine, fs.create(fs.context(), "/cow"))
-        planner = fs.io.planner
+        planner = fs.planner
         for i in range(COW_CASES):
             # Every other round, a real write evolves the file so the
             # preparation sees pre-existing pages (merge paths).
@@ -150,11 +150,11 @@ class TestCowPrepProperties:
             assert pos == last + 1
 
     def test_elided_payload_prepares_same_shape(self, node):
-        """Payload elision changes contents, never geometry."""
+        """A payload-less write changes contents, never geometry."""
         rng = random.Random(7)
         fs = NovaFS(node, PMImage()).mount()
         ino = run_proc(fs.engine, fs.create(fs.context(), "/e"))
-        planner = fs.io.planner
+        planner = fs.planner
         for _ in range(10):
             m = fs._mem[ino]
             offset = rng.randrange(0, 6 * PAGE_SIZE)

@@ -41,10 +41,6 @@ class TestEngineBasics:
         engine.run()
         assert fired == [1000]
 
-    def test_peek_reports_next_event_time(self, engine):
-        engine.timeout(77)
-        assert engine.peek() == 77
-
     def test_reentrant_run_rejected(self, engine):
         def body():
             engine.run()
@@ -228,19 +224,6 @@ class TestDeterminism:
             eng.run()
             return log
         assert trace() == trace()
-
-    def test_call_at_runs_at_absolute_time(self, engine):
-        hits = []
-        engine.call_at(250, lambda: hits.append(engine.now))
-        engine.run()
-        assert hits == [250]
-
-    def test_call_at_past_rejected(self, engine):
-        def body():
-            yield engine.timeout(100)
-        run_proc(engine, body())
-        with pytest.raises(SimulationError):
-            engine.call_at(50, lambda: None)
 
 
 class TestCancellation:

@@ -3,87 +3,14 @@
 import pytest
 
 from repro.sim import (
-    Barrier,
     Channel,
     Gate,
-    Lock,
     RWLock,
-    Semaphore,
     SimulationError,
     Store,
     WaitTimeout,
 )
 from tests.conftest import run_proc
-
-
-class TestSemaphore:
-    def test_capacity_must_be_positive(self, engine):
-        with pytest.raises(SimulationError):
-            Semaphore(engine, 0)
-
-    def test_acquire_release_counts(self, engine):
-        sem = Semaphore(engine, 2)
-        def body():
-            yield sem.acquire()
-            yield sem.acquire()
-            assert sem.available == 0
-            sem.release()
-            assert sem.available == 1
-            sem.release()
-        run_proc(engine, body())
-        assert sem.available == 2
-
-    def test_waiters_wake_fifo(self, engine):
-        sem = Semaphore(engine, 1)
-        order = []
-        def worker(name, hold):
-            yield sem.acquire()
-            order.append(("got", name, engine.now))
-            yield engine.timeout(hold)
-            sem.release()
-        for i in range(3):
-            engine.process(worker(i, 10))
-        engine.run()
-        assert [o[1] for o in order] == [0, 1, 2]
-        assert [o[2] for o in order] == [0, 10, 20]
-
-    def test_try_acquire(self, engine):
-        sem = Semaphore(engine, 1)
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-        sem.release()
-        assert sem.try_acquire()
-
-    def test_over_release_rejected(self, engine):
-        sem = Semaphore(engine, 1)
-        with pytest.raises(SimulationError):
-            sem.release()
-
-
-class TestLock:
-    def test_mutual_exclusion(self, engine):
-        lock = Lock(engine)
-        inside = []
-        def worker(name):
-            yield lock.acquire(owner=name)
-            inside.append(name)
-            assert len(inside) == 1
-            yield engine.timeout(5)
-            inside.remove(name)
-            lock.release()
-        for i in range(4):
-            engine.process(worker(i))
-        engine.run()
-        assert not lock.locked
-
-    def test_owner_tracking(self, engine):
-        lock = Lock(engine)
-        def body():
-            yield lock.acquire(owner="me")
-            assert lock.owner == "me"
-            lock.release()
-            assert lock.owner is None
-        run_proc(engine, body())
 
 
 class TestRWLock:
@@ -263,93 +190,31 @@ class TestChannel:
         assert chan.full
 
 
-class TestBarrier:
-    def test_trips_when_all_arrive(self, engine):
-        barrier = Barrier(engine, 3)
-        times = []
-        def party(delay):
-            yield engine.timeout(delay)
-            yield barrier.wait()
-            times.append(engine.now)
-        for d in (5, 10, 20):
-            engine.process(party(d))
-        engine.run()
-        assert times == [20, 20, 20]
-
-    def test_reusable(self, engine):
-        barrier = Barrier(engine, 2)
-        laps = []
-        def party(i):
-            for lap in range(3):
-                yield barrier.wait()
-                laps.append((i, lap))
-        engine.process(party(0))
-        engine.process(party(1))
-        engine.run()
-        assert len(laps) == 6
-
-
 class TestTimedWaits:
     """timeout= on every blocking primitive: WaitTimeout fires, and --
     the regression these tests exist for -- the expired waiter must not
     linger in the primitive's queue and absorb a later grant."""
 
-    def test_semaphore_timeout_and_no_leak(self, engine):
-        sem = Semaphore(engine, 1)
+    def test_rwlock_timeout_unneeded_when_granted_first(self, engine):
+        rw = RWLock(engine)
         got = []
-        def holder():
-            yield sem.acquire()
-            yield engine.timeout(100)
-            sem.release()
-        def impatient():
-            with pytest.raises(WaitTimeout):
-                yield sem.acquire(timeout=10)
-            got.append(("timeout", engine.now))
-        def patient():
-            yield sem.acquire()
-            got.append(("acquired", engine.now))
-            sem.release()
-        engine.process(holder())
-        engine.process(impatient())
-        engine.process(patient())
-        engine.run()
-        # The release at t=100 must reach `patient`, not the expired
-        # waiter; afterwards the full capacity is back.
-        assert got == [("timeout", 10), ("acquired", 100)]
-        assert sem.available == 1
-        assert sem.queued == 0
-
-    def test_semaphore_timeout_unneeded_when_granted_first(self, engine):
-        sem = Semaphore(engine, 1)
-        def body():
-            yield sem.acquire(timeout=50)
+        def first():
+            # Free lock: granted at once, so the bound is never armed.
+            yield rw.acquire_write(timeout=50)
+            yield engine.timeout(20)
+            rw.release_write()
+        def second():
+            # Queued, then granted at t=20, well inside its bound: the
+            # timer is cancelled and never fails the grant later.
+            yield rw.acquire_write(timeout=50)
+            got.append(engine.now)
             yield engine.timeout(200)  # well past the timeout
-            sem.release()
-        run_proc(engine, body())
-        assert sem.available == 1
-
-    def test_lock_timeout_and_no_leak(self, engine):
-        lock = Lock(engine)
-        order = []
-        def holder():
-            yield lock.acquire(owner="holder")
-            yield engine.timeout(100)
-            lock.release()
-        def impatient():
-            with pytest.raises(WaitTimeout):
-                yield lock.acquire(owner="impatient", timeout=10)
-            order.append("timeout")
-        def patient():
-            yield lock.acquire(owner="patient")
-            order.append("locked")
-            assert lock.owner == "patient"
-            lock.release()
-        engine.process(holder())
-        engine.process(impatient())
-        engine.process(patient())
+            rw.release_write()
+        engine.process(first())
+        engine.process(second())
         engine.run()
-        assert order == ["timeout", "locked"]
-        assert not lock.locked
+        assert got == [20]
+        assert not rw.held_exclusive and rw.queued == 0
 
     def test_rwlock_write_timeout_does_not_block_readers(self, engine):
         rw = RWLock(engine)
@@ -470,21 +335,3 @@ class TestTimedWaits:
         engine.process(consumer())
         engine.run()
         assert len(chan) == 0 and chan.drain() == []
-
-    def test_barrier_timeout_withdraws_arrival(self, engine):
-        barrier = Barrier(engine, 2)
-        tripped = []
-        def impatient():
-            with pytest.raises(WaitTimeout):
-                yield barrier.wait(timeout=10)
-        def pair(delay):
-            yield engine.timeout(delay)
-            yield barrier.wait()
-            tripped.append(engine.now)
-        engine.process(impatient())
-        # Two later parties must trip the barrier alone: the expired
-        # arrival withdrew and does not count toward the quorum.
-        engine.process(pair(20))
-        engine.process(pair(30))
-        engine.run()
-        assert tripped == [30, 30]
