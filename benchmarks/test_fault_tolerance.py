@@ -13,6 +13,7 @@ from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
 from repro.crash import CRASH_WORKLOADS, run_crash_test
 from repro.faults import ChannelHaltFault, FaultPlan, TransferErrorFault
+from repro.fs import file_bytes
 from repro.hw.platform import Platform, PlatformConfig
 from repro.workloads.factory import make_fs
 
@@ -59,7 +60,7 @@ def _run_workload(plan_kwargs, fault_tolerant=None, stop_cm=False):
         # Zero data loss: every file reads back exactly what was written.
         for fidx, ino in enumerate(inos):
             m = fs._mem[ino]
-            data = fs._collect_data(m, 0, m.size)
+            data = file_bytes(fs.image, m, 0, m.size)
             expected = b"".join(
                 _payload(fidx * WRITES_PER_FILE + i, NBYTES)
                 for i in range(WRITES_PER_FILE))

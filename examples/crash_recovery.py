@@ -12,13 +12,14 @@ This example:
 2. starts a generation-2 overwrite and "pulls the plug" right after
    its metadata commit but before its DMA finishes;
 3. replays the persist-ordered mutation journal into a fresh image
-   (exactly a power failure) and recovers;
+   (exactly a power failure) and recovers from that image alone;
 4. shows that the file cleanly contains generation-1 data.
 
 Run:  python examples/crash_recovery.py
 """
 
-from repro import Platform, fs_class, make_fs, recover
+from repro import Platform, make_fs, recover
+from repro.fs import file_bytes
 from repro.fs.recovery import completion_buffer_validator
 
 GEN1 = b"\x11" * 65536
@@ -59,17 +60,15 @@ crashed_image = fs.image.replay(crash_point["at"])
 print(f"\nsimulating power failure at persist #{crash_point['at']} "
       f"of {fs.image.crash_points()}")
 
-recovered_platform = Platform()
-# Resolve through the registry; construct without mounting (recovery
-# rebuilds the volatile state from the crashed image instead).
-recovered = fs_class("easyio")(recovered_platform, crashed_image)
-recover(recovered, completion_buffer_validator(crashed_image))
-print(f"recovery discarded {recovered.recovered_discarded_entries} "
+# Recovery needs no machine: it rebuilds the volatile inode table from
+# the crashed image, validating SNs against its completion buffers.
+recovered = recover(crashed_image, completion_buffer_validator(crashed_image))
+print(f"recovery discarded {recovered.discarded_entries} "
       f"committed-but-unfinished log entr"
-      f"{'y' if recovered.recovered_discarded_entries == 1 else 'ies'}")
+      f"{'y' if recovered.discarded_entries == 1 else 'ies'}")
 
-m = recovered.minode(crash_point["ino"])
-data = recovered._collect_data(m, 0, m.size)
+m = recovered.inodes[crash_point["ino"]]
+data = file_bytes(crashed_image, m, 0, m.size)
 if data == GEN1:
     print("file content after recovery: generation 1 -- consistent!")
 elif data == GEN2:

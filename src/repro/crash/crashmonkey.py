@@ -12,8 +12,9 @@ Methodology here (equivalent to CrashMonkey's record/replay model):
    the op's [first, last] mutation indices.
 2. A crash at point *k* is "replay the first *k* mutations into a
    fresh image" -- exactly a power failure between two 8-byte-atomic
-   persists.  Recover the filesystem from it (EasyIO recovery validates
-   write SNs against the persistent completion buffers).
+   persists.  Recover the inode table from that image alone (EasyIO
+   recovery validates write SNs against the persistent completion
+   buffers); only the recording run builds a platform.
 3. The recovered state (names, sizes, *and file contents*) must equal
    the oracle state after op *i* for some i between "ops fully durable
    by k" and "ops started by k" -- i.e. each op must be atomic and
@@ -32,10 +33,12 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from repro.fs.pmimage import PMImage
+from repro.crash.linestream import replay_plan
+from repro.crash.plans import CrashPlanner
+from repro.fs.pmimage import PMImage, file_bytes
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
-from repro.fs.structures import FileKind, TornRecord
+from repro.fs.structures import ROOT_INO, FileKind, MemInode, TornRecord
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, default_tracing
 from repro.workloads.factory import make_fs
@@ -43,17 +46,19 @@ from repro.workloads.factory import make_fs
 Snapshot = Dict[str, Tuple]
 
 
-def _content_hash(fs, m) -> str:
+def _content_hash(image: PMImage, m) -> str:
     """Digest of a file's logical content (from its page index)."""
     hasher = hashlib.sha1()
     hasher.update(str(m.size).encode())
-    data = fs._collect_data(m, 0, m.size)
-    hasher.update(data)
+    hasher.update(file_bytes(image, m, 0, m.size))
     return hasher.hexdigest()
 
 
-def snapshot_with_content(fs, digest_cache: Optional[dict] = None) -> Snapshot:
-    """{path: ("dir"|"file", size, content-digest)} for the whole tree.
+def snapshot_with_content(inodes: Dict[int, MemInode], image: PMImage,
+                          digest_cache: Optional[dict] = None) -> Snapshot:
+    """{path: ("dir"|"file", size, content-digest)} for the tree that
+    the inode table ``inodes`` (a live filesystem's, or
+    :func:`~repro.fs.recovery.recover`'s) spans over ``image``.
 
     ``digest_cache`` memoises digests as ``{ino: (size, layout_epoch,
     digest)}``.  Within one call a fresh cache always applies (hard
@@ -74,16 +79,16 @@ def snapshot_with_content(fs, digest_cache: Optional[dict] = None) -> Snapshot:
         hit = cache.get(ino)
         if hit is not None and hit[0] == key:
             return hit[1]
-        value = _content_hash(fs, m)
+        value = _content_hash(image, m)
         cache[ino] = (key, value)
         return value
 
     def walk(ino: int, prefix: str):
-        m = fs._mem.get(ino)
+        m = inodes.get(ino)
         if m is None:
             return
         for name, child_ino in sorted(m.dentries.items()):
-            child = fs._mem.get(child_ino)
+            child = inodes.get(child_ino)
             if child is None:
                 continue
             path = f"{prefix}/{name}"
@@ -93,7 +98,7 @@ def snapshot_with_content(fs, digest_cache: Optional[dict] = None) -> Snapshot:
             else:
                 out[path] = ("file", child.size, digest(child_ino, child))
 
-    walk(0, "")
+    walk(ROOT_INO, "")
     return out
 
 
@@ -271,7 +276,8 @@ def _check_state(snap: Snapshot,
     return _classify_state_failure(snap, oracle, lo, hi)
 
 
-def _mechanism_checks(fs2, img, validator):
+def _mechanism_checks(inodes: Dict[int, MemInode], img: PMImage,
+                      validator):
     """The mechanism oracles: recovery must have *reacted* to each
     mechanism's torn/reordered shapes, not merely produced some legal
     namespace.  Returns None, or a ``(check, detail)`` failure.
@@ -290,7 +296,7 @@ def _mechanism_checks(fs2, img, validator):
             return ("torn-journal",
                     f"recovery left a torn {txn.of} journal record "
                     f"({txn.lines}/{txn.total} lines) unretired")
-    for ino, m in fs2._mem.items():
+    for ino, m in inodes.items():
         for off, pm in m.index.items():
             if pm.page_id not in img.pages:
                 return ("sn-pages",
@@ -377,7 +383,8 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
                 break
             end = len(image.mutations)
             oracle.append((start, end,
-                           snapshot_with_content(fs, digest_cache)))
+                           snapshot_with_content(fs._mem, image,
+                                                 digest_cache)))
             start = end
             if stream is not None:
                 send = stream.position()
@@ -470,12 +477,9 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
                          total_crash_points=len(points), passed=0)
     for k in points:
         img = image.replay(k)
-        platform = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image(kind, platform, img)
         validator = (completion_buffer_validator(img)
                      if validator_needed else None)
-        recover(fs2, validator)
-        snap = snapshot_with_content(fs2)
+        snap = snapshot_with_content(recover(img, validator).inodes, img)
         durable = sum(1 for (_s, e, _sn) in oracle if e <= k)
         started = sum(1 for (s, _e, _sn) in oracle if s <= k)
         fail = _check_state(snap, oracle, durable, started)
@@ -488,46 +492,45 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
 
 def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
                 per_signature, budget, seed) -> CrashReport:
-    """Replay every pruned crash plan and check recovery against the
-    state oracle *and* the mechanism oracles."""
-    from repro.crash.linestream import replay_plan
-    from repro.crash.plans import CrashPlanner
-
-    stream = image.linestream
-    planner = CrashPlanner(stream, per_signature=per_signature,
+    """Replay every pruned crash plan through :func:`check_plans`."""
+    planner = CrashPlanner(image.linestream, per_signature=per_signature,
                            budget=budget, seed=seed)
     plans = planner.plans()
-    report = CrashReport(workload=workload, kind=kind,
-                         total_crash_points=len(plans), passed=0,
-                         granularity="line",
-                         raw_states=planner.raw_states,
-                         plan_classes=dict(planner.plan_classes))
+    failures = check_plans(image.linestream, plans, oracle, validator_needed)
+    return CrashReport(workload=workload, kind=kind,
+                       total_crash_points=len(plans),
+                       passed=len(plans) - len(failures), failures=failures,
+                       granularity="line", raw_states=planner.raw_states,
+                       plan_classes=dict(planner.plan_classes))
+
+
+def check_plans(stream, plans, oracle: Sequence[Tuple[int, int, Snapshot]],
+                validator_needed: bool) -> List[CrashFailure]:
+    """Check every crash plan's recovered state; one failure per
+    failing plan.
+
+    Each plan is replayed from the line ``stream`` into an image and
+    recovered from that image alone.  Then come the mechanism oracles
+    and state legality against ``oracle`` over the plan's [lo, hi]
+    op window.  ``validator_needed`` applies the completion-buffer SN
+    rule (EasyIO-format images).
+    """
+    failures: List[CrashFailure] = []
     for plan in plans:
         img = replay_plan(stream, plan)
-        platform = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image(kind, platform, img)
         validator = (completion_buffer_validator(img)
                      if validator_needed else None)
         try:
-            recover(fs2, validator)
+            inodes = recover(img, validator).inodes
         except TornLogEntryError as exc:
-            report.failures.append(
+            failures.append(
                 CrashFailure(plan.point, "torn-entry", str(exc), plan.cls))
             continue
-        fail = _mechanism_checks(fs2, img, validator)
+        fail = _mechanism_checks(inodes, img, validator)
         if fail is None:
-            snap = snapshot_with_content(fs2)
-            fail = _check_state(snap, oracle, plan.lo, plan.hi)
-        if fail is None:
-            report.passed += 1
-        else:
-            report.failures.append(
+            fail = _check_state(snapshot_with_content(inodes, img), oracle,
+                                plan.lo, plan.hi)
+        if fail is not None:
+            failures.append(
                 CrashFailure(plan.point, fail[0], fail[1], plan.cls))
-    return report
-
-
-def make_fs_on_image(kind: str, platform: Platform, image):
-    """Construct (without mounting) the named filesystem over ``image``."""
-    from repro.workloads.factory import fs_class
-
-    return fs_class(kind)(platform, image)
+    return failures

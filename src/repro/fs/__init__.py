@@ -15,7 +15,7 @@ Concrete filesystems:
 * :class:`repro.core.easyio.EasyIoFS` -- the paper's contribution.
 """
 
-from repro.fs.pmimage import PMImage, MutationRecord
+from repro.fs.pmimage import PMImage, MutationRecord, file_bytes
 from repro.fs.structures import (
     DentryEntry,
     Inode,
@@ -40,5 +40,6 @@ __all__ = [
     "PageAllocator",
     "SetAttrEntry",
     "WriteEntry",
+    "file_bytes",
     "recover",
 ]

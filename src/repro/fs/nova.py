@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fs.alloc import PageAllocator
-from repro.fs.pmimage import ELIDED, PMImage
+from repro.fs.pmimage import PMImage
 from repro.fs.structures import (
     PAGE_SIZE,
+    ROOT_INO,
     DentryEntry,
     FileKind,
     Inode,
@@ -40,8 +41,6 @@ from repro.fs.structures import (
 from repro.hw.params import CostModel
 from repro.hw.platform import Platform
 from repro.sim import Event, RWLock, WaitTimeout
-
-ROOT_INO = 0
 
 
 class FsError(Exception):
@@ -584,15 +583,6 @@ class NovaFS:
         result = yield from self.write(ctx, m.ino, m.size, nbytes, payload)
         return result
 
-    def _old_page_content(self, m: MemInode, off: int) -> bytes:
-        mapping = m.index.get(off)
-        if mapping is None:
-            return bytes(PAGE_SIZE)
-        data = self.image.pages.get(mapping.page_id)
-        if data is ELIDED or data is None:
-            return bytes(PAGE_SIZE)
-        return data
-
     def _commit_write(self, ctx: OpContext, m: MemInode, prep,
                       sns: Tuple[Tuple[int, int], ...],
                       free_on: Optional[Event] = None):
@@ -697,20 +687,6 @@ class NovaFS:
         result = yield from self.read_pipeline.run(ctx, m, offset, nbytes,
                                                    runs, want_data)
         return result
-
-    def _collect_data(self, m: MemInode, offset: int, nbytes: int) -> bytes:
-        """Materialise the read's bytes from the current page contents."""
-        out = bytearray()
-        pos = offset
-        end = offset + nbytes
-        while pos < end:
-            off = pos // PAGE_SIZE
-            in_page = pos - off * PAGE_SIZE
-            take = min(PAGE_SIZE - in_page, end - pos)
-            page = self._old_page_content(m, off)
-            out += page[in_page:in_page + take]
-            pos += take
-        return bytes(out)
 
     def _acquire_file_lock(self, ctx: OpContext, m: MemInode, write: bool):
         """Take the level-1 file lock, charging contention costs.

@@ -22,6 +22,8 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Set, Tuple
 
+from repro.fs.structures import PAGE_SIZE, MemInode
+
 
 @dataclass(frozen=True)
 class MutationRecord:
@@ -330,3 +332,30 @@ class PMImage:
     def page_bytes(self) -> int:
         """Rough count of live data pages."""
         return len(self.pages)
+
+
+def file_bytes(image: PMImage, m: MemInode, offset: int,
+               nbytes: int) -> bytes:
+    """Bytes ``[offset, offset + nbytes)`` of the file whose volatile
+    inode is ``m``, as ``image`` holds them.
+
+    Holes, unmapped pages and payload-less (``ELIDED``) pages read as
+    zeros.  The read pipelines, the CoW planner's edge-page merge and
+    the crash checks' content digests all read file data here.
+    """
+    index, pages = m.index, image.pages
+    out = bytearray()
+    pos = offset
+    end = offset + nbytes
+    while pos < end:
+        off = pos // PAGE_SIZE
+        in_page = pos - off * PAGE_SIZE
+        take = min(PAGE_SIZE - in_page, end - pos)
+        mapping = index.get(off)
+        data = None if mapping is None else pages.get(mapping.page_id)
+        if data is None or data is ELIDED:
+            out += bytes(take)
+        else:
+            out += data[in_page:in_page + take]
+        pos += take
+    return bytes(out)

@@ -1,4 +1,10 @@
-"""Post-crash recovery: rebuild volatile state from a PM image.
+"""Post-crash recovery: rebuild the volatile inode table from a PM image.
+
+Recovery is a function of the persistent image alone: it builds no
+engine, platform or filesystem, and returns the recovered
+:class:`~repro.fs.structures.MemInode` table.  The crash checks read
+that table and the image directly (a recovered state is checked, never
+run), so recovered inodes carry no lock and no allocator is rebuilt.
 
 Recovery follows NOVA's protocol (§4.2 of the paper, §5's "supplement
 the recovery logic"):
@@ -18,13 +24,16 @@ the recovery logic"):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.fs.pmimage import PMImage
 from repro.fs.structures import (
     PAGE_SIZE,
+    ROOT_INO,
     DentryEntry,
     FileKind,
+    MemInode,
     PageMapping,
     SetAttrEntry,
     TornEntry,
@@ -72,25 +81,33 @@ def completion_buffer_validator(image: PMImage) -> SnValidator:
     return valid
 
 
-def recover(fs, sn_validator: Optional[SnValidator] = None):
-    """Rebuild ``fs``'s volatile state from its PM image.
+@dataclass
+class Recovered:
+    """What :func:`recover` rebuilt: the volatile inode table (root
+    included) and the number of write entries SN validation dropped."""
 
-    ``fs`` must be a freshly constructed (unmounted) filesystem over
-    the post-crash image.  Pass
-    ``completion_buffer_validator(fs.image)`` for EasyIO-format images;
-    synchronous images need no validator (their entries carry no SNs).
+    inodes: Dict[int, MemInode]
+    discarded_entries: int = 0
 
-    Returns the mounted filesystem.
+
+def recover(image: PMImage,
+            sn_validator: Optional[SnValidator] = None) -> Recovered:
+    """Rebuild the volatile inode table from the post-crash ``image``.
+
+    Pass ``completion_buffer_validator(image)`` for EasyIO-format
+    images; synchronous images need no validator (their entries carry
+    no SNs).  Retires the image's journal records and drops orphaned
+    inodes from it, as mounting the image would.
     """
-    image = fs.image
-    fs.mount()
+    inodes: Dict[int, MemInode] = {
+        ROOT_INO: MemInode(ino=ROOT_INO, kind=FileKind.DIR, links=2)}
     discarded_entries = 0
 
     # Pass 1: rebuild every inode from its committed log prefix.
     for ino, inode in sorted(image.inodes.items()):
-        m = fs._mem.get(ino) or fs._fresh_mem(ino, inode.kind, inode.links)
+        m = inodes.get(ino) or MemInode(ino=ino, kind=inode.kind)
         m.kind, m.links = inode.kind, inode.links
-        fs._mem[ino] = m
+        inodes[ino] = m
         for entry in image.committed_log(ino):
             if isinstance(entry, TornEntry):
                 raise TornLogEntryError(
@@ -131,8 +148,8 @@ def recover(fs, sn_validator: Optional[SnValidator] = None):
             # or the per-inode logs already carry them).
             image.journal_end()
             continue
-        dst = fs._mem.get(txn.dst_dir)
-        src = fs._mem.get(txn.src_dir)
+        dst = inodes.get(txn.dst_dir)
+        src = inodes.get(txn.src_dir)
         if dst is None or src is None:
             continue
         if dst.dentries.get(txn.dst_name) == txn.ino:
@@ -144,54 +161,19 @@ def recover(fs, sn_validator: Optional[SnValidator] = None):
         image.journal_end()
 
     # Pass 3: orphan scan -- drop inodes unreachable from any directory.
-    reachable: Set[int] = {0}
-    stack = [0]
+    reachable: Set[int] = {ROOT_INO}
+    stack = [ROOT_INO]
     while stack:
-        cur = fs._mem.get(stack.pop())
+        cur = inodes.get(stack.pop())
         if cur is None:
             continue
         for child in cur.dentries.values():
             if child not in reachable:
                 reachable.add(child)
-                if child in fs._mem and fs._mem[child].kind is FileKind.DIR:
+                if child in inodes and inodes[child].kind is FileKind.DIR:
                     stack.append(child)
-    for ino in [i for i in fs._mem if i not in reachable]:
+    for ino in [i for i in inodes if i not in reachable]:
         image.drop_inode(ino)
-        del fs._mem[ino]
+        del inodes[ino]
 
-    # Rebuild the allocator's view: every page referenced by a live
-    # index is in use; everything else the image holds goes back on the
-    # free list (the free list itself is volatile in NOVA).
-    live = {pm.page_id for m in fs._mem.values() for pm in m.index.values()}
-    for pid in sorted(p for p in image.pages if p not in live):
-        fs.allocator._free.append(pid)
-
-    fs.recovered_discarded_entries = discarded_entries
-    return fs
-
-
-def snapshot_namespace(fs) -> Dict[str, Tuple]:
-    """Flatten a filesystem into {path: (kind, size, content-digest)}.
-
-    Used by the crash-consistency checker to compare a recovered
-    filesystem against the set of legal post-crash states.
-    """
-    out: Dict[str, Tuple] = {}
-
-    def walk(ino: int, prefix: str):
-        m = fs._mem[ino]
-        for name, child_ino in sorted(m.dentries.items()):
-            child = fs._mem.get(child_ino)
-            if child is None:
-                continue
-            path = f"{prefix}/{name}"
-            if child.kind is FileKind.DIR:
-                out[path] = ("dir", 0, None)
-                walk(child_ino, path)
-            else:
-                digest = tuple(sorted(
-                    (off, pm.page_id) for off, pm in child.index.items()))
-                out[path] = ("file", child.size, digest)
-
-    walk(0, "")
-    return out
+    return Recovered(inodes, discarded_entries)

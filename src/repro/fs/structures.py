@@ -20,6 +20,8 @@ from typing import Dict, List, Optional, Tuple
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+#: The root directory's inode number.
+ROOT_INO = 0
 
 #: Per-inode read-plan memo entries kept before the cache is reset
 #: (rotating-offset benchmarks revisit a small set of ranges; an
@@ -174,7 +176,9 @@ class MemInode:
     # completion buffer, because a halted channel's completion may
     # never arrive.  None when no supervision is active.
     pending_done: Optional[object] = None
-    # Assigned lazily by the filesystem (a sim RWLock needs the engine).
+    # The level-1 file lock: a sim RWLock a live filesystem assigns when
+    # it creates the inode (it needs the engine).  None after recovery,
+    # whose inode table is checked, never run.
     lock: Optional[object] = None
     #: Bumped on every block-mapping change (write commit, truncate,
     #: recovery rebuild); read-plan memo entries from older epochs are

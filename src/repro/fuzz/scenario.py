@@ -37,13 +37,10 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.crash.crashmonkey import (_check_state, _mechanism_checks,
-                                     make_fs_on_image,
-                                     snapshot_with_content)
+from repro.crash.crashmonkey import check_plans, snapshot_with_content
+from repro.crash.plans import CrashPlanner
 from repro.fs.nova import DeadlineExceeded, FsError
 from repro.fs.pmimage import PMImage
-from repro.fs.recovery import (TornLogEntryError,
-                               completion_buffer_validator, recover)
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, Tracer, default_tracing
 from repro.obs.coverage import (ack_gap_buckets, counter_buckets,
@@ -184,7 +181,7 @@ def run_scenario(t: ScenarioTuple,
     def record_op(sstart: int) -> int:
         send = stream.position() if stream is not None else 0
         oracle.append((sstart, send,
-                       snapshot_with_content(fs, digest_cache)))
+                       snapshot_with_content(fs._mem, image, digest_cache)))
         if stream is not None:
             stream.op_bounds.append((sstart, send))
         return send
@@ -278,9 +275,13 @@ def run_scenario(t: ScenarioTuple,
     # -- detector 2: crash plans through recovery ---------------------
     planner = None
     if t.crash.enabled and clean_exit and stream is not None:
-        planner, crash_findings = _crash_section(t, stream, oracle)
-        findings.extend(crash_findings)
-        result.crash_plans = len(planner.plans())
+        planner = CrashPlanner(stream, per_signature=t.crash.per_signature,
+                               budget=t.crash.budget, seed=t.crash.seed)
+        plans = planner.plans()
+        for f in check_plans(stream, plans, oracle,
+                             t.kind in ("easyio", "naive")):
+            findings.append(Finding("crash", f.check, f.detail, f.plan))
+        result.crash_plans = len(plans)
         result.raw_states = planner.raw_states
 
     # -- detector 4: cluster oracles over the net dimension -----------
@@ -366,7 +367,7 @@ def _differential(t, tracer, outcomes, op_ids, reads,
                         f"faults")]
 
     findings = []
-    ref_snap = snapshot_with_content(ref)
+    ref_snap = snapshot_with_content(ref._mem, ref.image)
     if target_snap != ref_snap:
         diff = sorted(set(target_snap.items())
                       ^ set(ref_snap.items()))[:4]
@@ -382,36 +383,6 @@ def _differential(t, tracer, outcomes, op_ids, reads,
                 f"the NOVA replay ({len(got)} vs {len(want)} bytes)"))
             break
     return findings
-
-
-def _crash_section(t, stream, oracle):
-    """Replay the planner's crash plans through recovery."""
-    from repro.crash.linestream import replay_plan
-    from repro.crash.plans import CrashPlanner
-
-    planner = CrashPlanner(stream, per_signature=t.crash.per_signature,
-                           budget=t.crash.budget, seed=t.crash.seed)
-    findings: List[Finding] = []
-    validator_needed = t.kind in ("easyio", "naive")
-    for plan in planner.plans():
-        img = replay_plan(stream, plan)
-        platform = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image(t.kind, platform, img)
-        validator = (completion_buffer_validator(img)
-                     if validator_needed else None)
-        try:
-            recover(fs2, validator)
-        except TornLogEntryError as exc:
-            findings.append(Finding("crash", "torn-entry", str(exc),
-                                    plan.cls))
-            continue
-        fail = _mechanism_checks(fs2, img, validator)
-        if fail is None:
-            snap = snapshot_with_content(fs2)
-            fail = _check_state(snap, oracle, plan.lo, plan.hi)
-        if fail is not None:
-            findings.append(Finding("crash", fail[0], fail[1], plan.cls))
-    return planner, findings
 
 
 def _net_section(t, net_tracers):

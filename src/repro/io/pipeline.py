@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.fs.nova import OpResult
+from repro.fs.pmimage import file_bytes
 from repro.io.supervision import DmaJob
 
 
@@ -91,7 +92,7 @@ class SyncReadPipeline:
                 ctx.trace_end("copy")
             yield ctx.charge("metadata",
                                   fs.model.timestamp_update_cost)
-            value = (fs._collect_data(m, offset, nbytes)
+            value = (file_bytes(fs.image, m, offset, nbytes)
                      if want_data else nbytes)
         finally:
             m.lock.release_read()
@@ -278,7 +279,7 @@ class AsyncReadPipeline:
                 ctx.trace_end("submit")
             yield ctx.charge("metadata",
                                   fs.model.timestamp_update_cost)
-            value = (fs._collect_data(m, offset, nbytes)
+            value = (file_bytes(fs.image, m, offset, nbytes)
                      if want_data else nbytes)
         finally:
             m.lock.release_read()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.fs.pmimage import ELIDED
+from repro.fs.pmimage import ELIDED, file_bytes
 from repro.fs.structures import PAGE_SIZE
 
 
@@ -224,7 +224,7 @@ class IoPlanner:
         else:
             for i in range(npages):
                 page_start = (pgoff + i) * PAGE_SIZE
-                old = fs._old_page_content(m, pgoff + i)
+                old = file_bytes(fs.image, m, page_start, PAGE_SIZE)
                 lo = max(offset, page_start) - page_start
                 hi = min(offset + nbytes, page_start + PAGE_SIZE) - page_start
                 data_lo = page_start + lo - offset

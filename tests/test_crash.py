@@ -21,7 +21,7 @@ class TestHarness:
             ino = yield from fs.create(fs.context(), "/f")
             yield from fs.write(fs.context(), ino, 0, 4096, b"x" * 4096)
         run_proc(fs.engine, scenario())
-        snap = snapshot_with_content(fs)
+        snap = snapshot_with_content(fs._mem, fs.image)
         assert snap["/f"][0] == "file"
         assert snap["/f"][1] == 4096
         assert snap["/f"][2] is not None
@@ -34,7 +34,7 @@ class TestHarness:
                 ino = yield from fs.create(fs.context(), "/f")
                 yield from fs.write(fs.context(), ino, 0, 4096, payload)
             run_proc(fs.engine, scenario())
-            return snapshot_with_content(fs)["/f"][2]
+            return snapshot_with_content(fs._mem, fs.image)["/f"][2]
         assert snap_for(b"a" * 4096) != snap_for(b"b" * 4096)
 
 
@@ -66,10 +66,8 @@ class TestDetection:
         failures = 0
         for k in range(0, total + 1, max(1, total // 80)):
             img = image.replay(k)
-            plat = Platform(PlatformConfig.single_node())
-            fs2 = cmky.make_fs_on_image("easyio", plat, img)
-            recover(fs2, None)   # deliberately skip SN validation
-            snap = snapshot_with_content(fs2)
+            # Deliberately skip SN validation.
+            snap = snapshot_with_content(recover(img, None).inodes, img)
             durable = sum(1 for (_s, e, _sn) in oracle if e <= k)
             started = sum(1 for (s, _e, _sn) in oracle if s <= k)
             cands = [{} if i == 0 else oracle[i - 1][2]
@@ -78,3 +76,55 @@ class TestDetection:
                 failures += 1
         assert failures > 0, \
             "disabling SN validation should corrupt some crash point"
+
+
+def _count_platforms(monkeypatch):
+    """Count Platform constructions from here on."""
+    built = []
+    init = Platform.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Platform, "__init__", counting)
+    return built
+
+
+class TestNoMachineAfterRecording:
+    """Crash checks recover from the image alone: the recording
+    platform is the only one a sweep builds."""
+
+    def test_line_sweep_builds_one_platform(self, monkeypatch):
+        built = _count_platforms(monkeypatch)
+        report = run_crash_test("easyio", "generic_056", granularity="line")
+        assert report.total_crash_points > 1
+        assert len(built) == 1
+
+    def test_page_sweep_builds_one_platform(self, monkeypatch):
+        built = _count_platforms(monkeypatch)
+        report = run_crash_test("easyio", "generic_056", crash_points=30)
+        assert report.total_crash_points == 30
+        assert len(built) == 1
+
+    def test_fuzz_scenario_plans_once(self, monkeypatch):
+        from repro.crash.plans import CrashPlanner
+        from repro.fuzz import ScenarioTuple, run_scenario, schedule_from_seed
+
+        built = _count_platforms(monkeypatch)
+        calls = []
+        plans = CrashPlanner.plans
+
+        def counting(self):
+            out = plans(self)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(CrashPlanner, "plans", counting)
+        t = ScenarioTuple(workload=schedule_from_seed(17, n_ops=6))
+        assert t.crash.enabled and not t.net.enabled
+        result = run_scenario(t)
+        assert calls == [result.crash_plans] and result.crash_plans > 0
+        # The recording platform and the differential detector's
+        # reference NOVA platform; none for the crash plans.
+        assert len(built) == 2

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.fs.pmimage import file_bytes
 from repro.fs.structures import PAGE_SIZE
 from repro.hw.platform import Platform, PlatformConfig
 from repro.workloads.factory import FS_KINDS, make_fs
@@ -76,7 +77,7 @@ def _run_variant(kind, schedule):
             else:
                 yield from fs.truncate(fs.context(), ino, op[1])
         m = fs._mem[ino]
-        return fs._collect_data(m, 0, m.size), m.size, len(m.index)
+        return file_bytes(fs.image, m, 0, m.size), m.size, len(m.index)
 
     content, size, pages = run_proc(fs.engine, body())
     return {"content": content, "size": size, "pages": pages,

@@ -4,9 +4,8 @@ locking, selective offload, and the Naive ablation."""
 import pytest
 
 from repro.core import EasyIoFS, NaiveAsyncFS
-from repro.fs import PMImage
+from repro.fs import PMImage, file_bytes
 from repro.fs.recovery import completion_buffer_validator, recover
-from repro.hw.platform import Platform, PlatformConfig
 from tests.conftest import run_proc
 
 
@@ -297,8 +296,7 @@ class TestRecoveryIntegration:
             yield r2.pending
         run_proc(node.engine, body())
         img = fs.image.replay(ino_box["crash_at"])
-        plat2 = Platform(PlatformConfig.single_node())
-        fs2 = recover(EasyIoFS(plat2, img), completion_buffer_validator(img))
-        m = fs2.minode(ino_box["ino"])
-        assert fs2._collect_data(m, 0, m.size) == data1, \
+        inodes = recover(img, completion_buffer_validator(img)).inodes
+        m = inodes[ino_box["ino"]]
+        assert file_bytes(img, m, 0, m.size) == data1, \
             "recovery must fall back to the first write's data"

@@ -11,7 +11,7 @@ from repro.core.easyio import EasyIoFS
 from repro.crash.crashmonkey import run_crash_test
 from repro.faults import (BandwidthFault, ChannelHaltFault, FaultPlan,
                           MediaFault, TransferErrorFault)
-from repro.fs.pmimage import PMImage
+from repro.fs.pmimage import PMImage, file_bytes
 from repro.fs.recovery import completion_buffer_validator
 from repro.fs.structures import WriteEntry
 from repro.hw.dma import DmaDescriptor
@@ -45,7 +45,7 @@ def _write_n(fs, nops=12, nbytes=256 * 1024):
         if r.is_async:
             yield r.pending
     m = fs._mem[ino]
-    data = fs._collect_data(m, 0, m.size)
+    data = file_bytes(fs.image, m, 0, m.size)
     assert data == b"".join(_payload(i, nbytes) for i in range(nops)), \
         "read-back differs from written bytes"
     return ino
@@ -363,7 +363,7 @@ class TestLevel2UnderFaults:
         assert [e.t for e in engine.tracer.events
                 if e.name == "level2" and e.ph == "E"] == resolved_at
         m = fs._mem[ino]
-        assert fs._collect_data(m, 0, m.size) == \
+        assert file_bytes(fs.image, m, 0, m.size) == \
             _payload(1, nbytes) + _payload(2, nbytes)
 
 

@@ -2,21 +2,13 @@
 orphans)."""
 
 
-from repro.fs import NovaFS, PMImage
-from repro.fs.recovery import (
-    completion_buffer_validator,
-    recover,
-    snapshot_namespace,
-)
+from repro.crash.crashmonkey import snapshot_with_content
+from repro.fs import NovaFS, PMImage, file_bytes
+from repro.fs.recovery import completion_buffer_validator, recover
 from repro.fs.structures import (PAGE_SIZE, DentryEntry, FileKind, Inode,
                                  WriteEntry)
 from repro.hw.platform import Platform, PlatformConfig
 from tests.conftest import run_proc
-
-
-def fresh_fs(image=None):
-    return NovaFS(Platform(PlatformConfig.single_node()),
-                  image if image is not None else PMImage())
 
 
 def _root_with_file(img, ino=1, name="f"):
@@ -29,7 +21,8 @@ def _root_with_file(img, ino=1, name="f"):
 
 def build_and_crash(scenario, upto=None):
     """Run scenario on a recording FS; return the crashed image."""
-    fs = fresh_fs(PMImage(record=True)).mount()
+    fs = NovaFS(Platform(PlatformConfig.single_node()),
+                PMImage(record=True)).mount()
     run_proc(fs.engine, scenario(fs))
     k = upto if upto is not None else fs.image.crash_points()
     return fs, fs.image.replay(k)
@@ -41,8 +34,7 @@ class TestTailScan:
         _root_with_file(img)
         img.append_log(1, WriteEntry(0, (0,), PAGE_SIZE, 5))
         # No tail commit: the entry must not survive.
-        fs = recover(fresh_fs(img))
-        assert fs._mem[1].size == 0
+        assert recover(img).inodes[1].size == 0
 
     def test_committed_entry_survives(self):
         img = PMImage()
@@ -50,9 +42,9 @@ class TestTailScan:
         img.write_page(0, b"d" * PAGE_SIZE)
         img.append_log(1, WriteEntry(0, (0,), PAGE_SIZE, 5))
         img.commit_log_tail(1, 1)
-        fs = recover(fresh_fs(img))
-        assert fs._mem[1].size == PAGE_SIZE
-        assert fs._mem[1].index[0].page_id == 0
+        m = recover(img).inodes[1]
+        assert m.size == PAGE_SIZE
+        assert m.index[0].page_id == 0
 
 
 class TestSnValidation:
@@ -66,32 +58,32 @@ class TestSnValidation:
 
     def test_entry_with_unfinished_dma_discarded(self):
         img = self._image_with_sn_entry(completion_sn=6)
-        fs = recover(fresh_fs(img), completion_buffer_validator(img))
-        assert fs._mem[1].size == 0
-        assert fs.recovered_discarded_entries == 1
+        rec = recover(img, completion_buffer_validator(img))
+        assert rec.inodes[1].size == 0
+        assert rec.discarded_entries == 1
 
     def test_entry_with_finished_dma_kept(self):
         img = self._image_with_sn_entry(completion_sn=7)
-        fs = recover(fresh_fs(img), completion_buffer_validator(img))
-        assert fs._mem[1].size == PAGE_SIZE
+        rec = recover(img, completion_buffer_validator(img))
+        assert rec.inodes[1].size == PAGE_SIZE
 
     def test_completion_sn_greater_than_entry_is_valid(self):
         img = self._image_with_sn_entry(completion_sn=100)
-        fs = recover(fresh_fs(img), completion_buffer_validator(img))
-        assert fs._mem[1].size == PAGE_SIZE
+        rec = recover(img, completion_buffer_validator(img))
+        assert rec.inodes[1].size == PAGE_SIZE
 
     def test_discard_truncates_everything_after(self):
         img = self._image_with_sn_entry(completion_sn=6)
         img.append_log(1, WriteEntry(1, (1,), 2 * PAGE_SIZE, 9, sns=()))
         img.commit_log_tail(1, 2)
-        fs = recover(fresh_fs(img), completion_buffer_validator(img))
+        rec = recover(img, completion_buffer_validator(img))
         # Defensive suffix discard: the later entry goes too.
-        assert fs._mem[1].size == 0
+        assert rec.inodes[1].size == 0
 
     def test_without_validator_sn_entries_pass(self):
         img = self._image_with_sn_entry(completion_sn=6)
-        fs = recover(fresh_fs(img))   # sync-filesystem recovery
-        assert fs._mem[1].size == PAGE_SIZE
+        rec = recover(img)   # sync-filesystem recovery
+        assert rec.inodes[1].size == PAGE_SIZE
 
 
 class TestNamespaceRecovery:
@@ -102,15 +94,16 @@ class TestNamespaceRecovery:
             yield from fs.write(fs.context(), ino, 0, 2 * PAGE_SIZE)
             yield from fs.create(fs.context(), "/top")
         live, img = build_and_crash(scenario)
-        recovered = recover(fresh_fs(img))
-        assert snapshot_namespace(recovered) == snapshot_namespace(live)
+        recovered = recover(img).inodes
+        assert snapshot_with_content(recovered, img) \
+            == snapshot_with_content(live._mem, live.image)
 
     def test_orphan_inode_dropped(self):
         img = PMImage()
         img.put_inode(0, Inode(0, FileKind.DIR, 2, 0))
         img.put_inode(9, Inode(9, FileKind.FILE, 1, 0))  # no dentry
-        fs = recover(fresh_fs(img))
-        assert 9 not in fs._mem
+        assert 9 not in recover(img).inodes
+        assert 9 not in img.inodes
 
     def test_unlink_survives_crash(self):
         def scenario(fs):
@@ -118,8 +111,7 @@ class TestNamespaceRecovery:
             yield from fs.create(fs.context(), "/b")
             yield from fs.unlink(fs.context(), "/a")
         _live, img = build_and_crash(scenario)
-        fs = recover(fresh_fs(img))
-        names = snapshot_namespace(fs)
+        names = snapshot_with_content(recover(img).inodes, img)
         assert "/b" in names and "/a" not in names
 
     def test_rename_crash_is_atomic_at_every_point(self):
@@ -130,8 +122,8 @@ class TestNamespaceRecovery:
         live, _img = build_and_crash(scenario)
         total = live.image.crash_points()
         for k in range(total + 1):
-            fs = recover(fresh_fs(live.image.replay(k)))
-            names = set(snapshot_namespace(fs))
+            img = live.image.replay(k)
+            names = set(snapshot_with_content(recover(img).inodes, img))
             # Atomicity: exactly one of the two names (or neither,
             # before the create committed) -- never both-or-neither
             # after the rename started with the file existing.
@@ -148,14 +140,49 @@ class TestNamespaceRecovery:
             yield from fs.truncate(fs.context(), a, PAGE_SIZE)
         live, _ = build_and_crash(scenario)
         for k in range(live.image.crash_points() + 1):
-            fs = recover(fresh_fs(live.image.replay(k)))
-            snapshot_namespace(fs)
+            img = live.image.replay(k)
+            snapshot_with_content(recover(img).inodes, img)
 
-    def test_recovered_allocator_reuses_dead_pages(self):
+    def test_cow_replaced_page_not_mapped(self):
         def scenario(fs):
             ino = yield from fs.create(fs.context(), "/a")
-            yield from fs.write(fs.context(), ino, 0, PAGE_SIZE)
-            yield from fs.write(fs.context(), ino, 0, PAGE_SIZE)  # CoW
-        live, img = build_and_crash(scenario)
-        fs = recover(fresh_fs(img))
-        assert fs.allocator.free_pages >= 1
+            yield from fs.write(fs.context(), ino, 0, PAGE_SIZE,
+                                b"1" * PAGE_SIZE)
+            yield from fs.write(fs.context(), ino, 0, PAGE_SIZE,
+                                b"2" * PAGE_SIZE)  # CoW
+        _live, img = build_and_crash(scenario)
+        first, second = img.committed_log(1)
+        assert first.page_ids != second.page_ids
+        inodes = recover(img).inodes
+        mapped = {pm.page_id for m in inodes.values()
+                  for pm in m.index.values()}
+        assert not mapped & set(first.page_ids)
+        assert file_bytes(img, inodes[1], 0, PAGE_SIZE) == b"2" * PAGE_SIZE
+
+
+class TestImageOnly:
+    def test_empty_image_recovers_a_bare_root(self):
+        rec = recover(PMImage())
+        assert list(rec.inodes) == [0]
+        root = rec.inodes[0]
+        assert root.kind is FileKind.DIR and root.links == 2
+        assert root.lock is None
+        assert rec.discarded_entries == 0
+
+    def test_recovery_module_needs_no_machine(self):
+        import ast
+        import inspect
+
+        from repro.fs import recovery
+
+        machine = ("repro.hw", "repro.sim")
+        tree = ast.parse(inspect.getsource(recovery))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names}
+        assert not [m for m in imported if m.startswith(machine)]
+        for value in vars(recovery).values():
+            owner = inspect.getmodule(value)
+            if owner is not None:
+                assert not owner.__name__.startswith(machine), value

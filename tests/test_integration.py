@@ -53,7 +53,7 @@ def run_sequence(kind, record=False):
         return rd.value
 
     data = run_proc(plat.engine, body())
-    return fs, snapshot_with_content(fs), data
+    return fs, snapshot_with_content(fs._mem, fs.image), data
 
 
 class TestSemanticsEquivalence:
@@ -81,13 +81,10 @@ class TestRecoveryRoundTrip:
     def test_full_replay_recovers_identical_state(self, kind):
         fs, live_snap, _data = run_sequence(kind, record=True)
         img = fs.image.replay(fs.image.crash_points())
-        plat2 = Platform(PlatformConfig.single_node())
-        from repro.crash.crashmonkey import make_fs_on_image
-        fs2 = make_fs_on_image(kind, plat2, img)
         validator = (completion_buffer_validator(img)
                      if kind in ("easyio", "naive") else None)
-        recover(fs2, validator)
-        assert snapshot_with_content(fs2) == live_snap
+        inodes = recover(img, validator).inodes
+        assert snapshot_with_content(inodes, img) == live_snap
 
 
 class TestDeterminism:
@@ -118,3 +115,14 @@ class TestPureStdlib:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestExamples:
+    def test_crash_recovery_example_falls_back_to_generation_one(self):
+        script = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "examples", "crash_recovery.py")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert "discarded 1" in out.stdout
+        assert "consistent!" in out.stdout

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import EasyIoFS
-from repro.crash.crashmonkey import make_fs_on_image, snapshot_with_content
+from repro.crash.crashmonkey import snapshot_with_content
 from repro.faults import ChannelHaltFault, FaultPlan
-from repro.fs import DeadlineExceeded, PMImage
+from repro.fs import DeadlineExceeded, PMImage, file_bytes
 from repro.fs.recovery import completion_buffer_validator, recover
 from repro.hw.platform import Platform, PlatformConfig
 from repro.runtime import (
@@ -250,7 +250,7 @@ class TestDeadlineUnderFaults:
             # Success must mean the bytes really landed (degraded memcpy
             # or SN-safe failover -- either way, full payload).
             m = fs._mem[created[0]]
-            assert fs._collect_data(m, 0, m.size) == payload
+            assert file_bytes(fs.image, m, 0, m.size) == payload
 
     def test_crash_legality_of_deadline_aborted_write(self):
         """A write aborted by ``DeadlineExceeded`` publishes no partial
@@ -282,18 +282,15 @@ class TestDeadlineUnderFaults:
         final = None
         for k in range(0, total + 1, max(1, total // 16)):
             img = image.replay(k)
-            p2 = Platform(PlatformConfig.single_node())
-            fs2 = make_fs_on_image("easyio", p2, img)
-            recover(fs2, completion_buffer_validator(img))
-            final = snapshot_with_content(fs2) if k == total else final
+            rec = recover(img, completion_buffer_validator(img))
+            final = snapshot_with_content(rec.inodes, img) \
+                if k == total else final
         img = image.replay(total)
-        p2 = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image("easyio", p2, img)
-        recover(fs2, completion_buffer_validator(img))
-        snap = snapshot_with_content(fs2)
+        inodes = recover(img, completion_buffer_validator(img)).inodes
+        snap = snapshot_with_content(inodes, img)
         assert snap.get("/f", (None, 0, None))[1] == len(a)
-        m2 = fs2._mem[state["ino"]]
-        assert fs2._collect_data(m2, 0, m2.size) == a
+        m2 = inodes[state["ino"]]
+        assert file_bytes(img, m2, 0, m2.size) == a
 
 
 class TestOverloadWorkload:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.fs import NovaFS, PMImage
+from repro.fs import NovaFS, PMImage, file_bytes
 from repro.fs.structures import PAGE_SIZE, FileKind, MemInode, PageMapping
 from repro.io.plan import IoPlanner, run_sizes
 from tests.conftest import run_proc
@@ -187,4 +187,4 @@ class TestShadowModel:
             shadow[offset:offset + nbytes] = payload
         m = fs._mem[ino]
         assert m.size == len(shadow)
-        assert fs._collect_data(m, 0, m.size) == bytes(shadow)
+        assert file_bytes(fs.image, m, 0, m.size) == bytes(shadow)

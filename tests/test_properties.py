@@ -147,7 +147,7 @@ class TestRecoveryPrefixLegality:
         rng = random.Random(seed)
         node = Platform(PlatformConfig.single_node())
         fs = EasyIoFS(node, PMImage(record=True)).mount()
-        snapshots = [snapshot_with_content(fs)]
+        snapshots = [snapshot_with_content(fs._mem, fs.image)]
         bounds = [(0, 0)]
         def body():
             inos = []
@@ -165,16 +165,14 @@ class TestRecoveryPrefixLegality:
                     if r.is_async:
                         yield r.pending
                 bounds.append((start, len(fs.image.mutations)))
-                snapshots.append(snapshot_with_content(fs))
+                snapshots.append(snapshot_with_content(fs._mem, fs.image))
         run_proc(node.engine, body())
         total = fs.image.crash_points()
         for _ in range(12):
             k = rng.randint(0, total)
             img = fs.image.replay(k)
-            plat2 = Platform(PlatformConfig.single_node())
-            fs2 = recover(EasyIoFS(plat2, img),
-                          completion_buffer_validator(img))
-            snap = snapshot_with_content(fs2)
+            rec = recover(img, completion_buffer_validator(img))
+            snap = snapshot_with_content(rec.inodes, img)
             durable = sum(1 for (s, e) in bounds[1:] if e <= k)
             started = sum(1 for (s, e) in bounds[1:] if s <= k)
             legal = [snapshots[i] for i in range(durable, started + 1)]
