@@ -9,6 +9,8 @@ still passes 1000/1000 crash points when the crash points land inside
 the retry/failover windows.
 """
 
+from dataclasses import asdict
+
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
 from repro.crash import CRASH_WORKLOADS, run_crash_test
@@ -118,7 +120,7 @@ def test_fault_tolerance(benchmark):
     show(banner("EasyIO under a mid-workload channel halt (+ soft/media "
                 "faults)"))
     show(fmt_table(["counter", "value"],
-                   sorted(stats.as_dict().items())))
+                   sorted(asdict(stats).items())))
     slowdown = t_faulty / out["clean_ns"]
     show(f"completed ops: {n_ops}/{total_ops}   "
          f"makespan: {t_faulty} ns vs clean {out['clean_ns']} ns "
@@ -132,7 +134,7 @@ def test_fault_tolerance(benchmark):
     dead_stats, _plan2, t_dead, n2 = out["dead"]
     show(banner("Graceful degradation: every channel dead"))
     show(fmt_table(["counter", "value"],
-                   sorted(dead_stats.as_dict().items())))
+                   sorted(asdict(dead_stats).items())))
     assert n2 == total_ops, "I/O was lost with all channels dead"
     assert dead_stats.degraded_writes >= 1
     assert dead_stats.degraded_bytes > 0

@@ -21,6 +21,8 @@ The whole experiment is deterministic (seeded arrivals, simulated
 clock): an identical re-run must reproduce identical counts.
 """
 
+from dataclasses import asdict
+
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_counters, fmt_table
 from repro.workloads.overload import OverloadConfig, run_overload
@@ -75,7 +77,7 @@ def test_overload(benchmark):
                      f"{r.drain_ns // 1000}"])
     show(fmt_table(["config", "offered", "done", "rej", "miss",
                     "queue hw", "p99 us", "goodput", "drain us"], rows))
-    show(fmt_counters("admission/reject counters", admit.stats))
+    show(fmt_counters("admission/reject counters", asdict(admit.stats)))
 
     # Open-loop collapse: the unprotected run's backlog and p99 blow up.
     assert unprot.completed == unprot.offered

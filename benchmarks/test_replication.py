@@ -21,6 +21,8 @@ cell is a pure function of its seed -- the identical re-run at the
 bottom pins replayability.
 """
 
+from dataclasses import asdict
+
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
 from repro.net import NodeCrashFault, PartitionFault
@@ -125,5 +127,5 @@ def test_replication(benchmark):
 
     def key(r):
         return (r.offered, r.acked, r.lease_log, r.failover_times_ns,
-                r.elapsed_ns, r.stats.as_dict())
+                r.elapsed_ns, asdict(r.stats))
     assert key(a) == key(b), "same seed must replay identically"

@@ -18,6 +18,8 @@ Every run is deterministic (seeded arrivals, simulated clock).
 Run:  python examples/overload.py
 """
 
+from dataclasses import asdict
+
 from repro.analysis.report import fmt_counters, fmt_table
 from repro.workloads.overload import OverloadConfig, run_overload
 
@@ -57,7 +59,7 @@ def main():
     print(fmt_table(["config", "offered", "done", "rej", "miss",
                      "queue hw", "p99 us", "goodput", "drain us"], rows))
     print()
-    print(fmt_counters("admission/shed counters", last.stats))
+    print(fmt_counters("admission/shed counters", asdict(last.stats)))
     print("\nRejecting early is kinder than failing late: the admission "
           "gate turns excess load into fast failures, so the requests "
           "that ARE admitted keep a bounded p99 -- and more of them "

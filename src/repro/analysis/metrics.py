@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 #: When a percentile query finds at most this many samples recorded
 #: since the last sorted view, they are insorted incrementally; a
@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 _INSORT_TAIL_MAX = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultStats:
     """Counters for the fault-tolerance paths (availability reporting).
 
@@ -36,18 +36,6 @@ class FaultStats:
     degraded_bytes: int = 0         # bytes moved on the fallback path
     media_faults_detected: int = 0  # checksum mismatches caught & rewritten
 
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def reset(self) -> None:
-        """Zero every counter (for reusing the stats across runs)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    @property
-    def any_faults(self) -> bool:
-        return any(self.as_dict().values())
-
     @staticmethod
     def availability(completed_ops: int, failed_ops: int = 0) -> float:
         """Fraction of operations that completed (1.0 = no data loss)."""
@@ -55,7 +43,7 @@ class FaultStats:
         return completed_ops / total if total else 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class OverloadStats:
     """Counters for the overload-robustness paths.
 
@@ -74,27 +62,6 @@ class OverloadStats:
     cancelled: int = 0            # in-flight work cut short by a deadline
     deadline_misses: int = 0      # ops that raised DeadlineExceeded
     watchdog_trips: int = 0       # uthreads flagged as hung
-
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def reset(self) -> None:
-        """Zero every counter (for reusing the stats across runs)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    @property
-    def any_overload(self) -> bool:
-        """Whether any op was turned away, degraded, or cut short."""
-        counted = self.as_dict()
-        counted.pop("admitted")
-        return any(counted.values())
-
-    def goodput(self, completed_ops: int) -> float:
-        """Fraction of offered load that completed in time."""
-        offered = (completed_ops + self.rejected + self.shed
-                   + self.deadline_misses)
-        return completed_ops / offered if offered else 1.0
 
 
 class LatencySeries:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def banner(title: str, width: int = 78) -> str:
@@ -48,12 +48,11 @@ def fmt_series(name: str, xs: Sequence, ys: Sequence[float],
     return f"{name}: {pairs}"
 
 
-def fmt_counters(title: str, counters, skip_zero: bool = True) -> str:
-    """Render a counter set (FaultStats/OverloadStats or a plain dict)
-    as a two-column table."""
-    as_dict = getattr(counters, "as_dict", None)
-    data = as_dict() if callable(as_dict) else dict(counters)
-    rows = [(k, v) for k, v in data.items() if v or not skip_zero]
+def fmt_counters(title: str, counters: Mapping[str, object],
+                 skip_zero: bool = True) -> str:
+    """Render a counter mapping (e.g. ``asdict(fault_stats)``) as a
+    two-column table."""
+    rows = [(k, v) for k, v in counters.items() if v or not skip_zero]
     if not rows:
         return f"{title}: (all zero)"
     return f"{title}\n" + fmt_table(("counter", "value"), rows)

@@ -262,8 +262,8 @@ class NovaFS:
         self.allocator = PageAllocator(self.image)
         self._mem: Dict[int, MemInode] = {}
         self.ops_completed = 0
-        #: Per-variant operation counters (see OP_COUNTER_NAMES); each
-        #: variant's backends and pipelines bump the ones its data
+        #: Per-variant operation counters, declared on every variant;
+        #: each variant's backends and pipelines bump the ones its data
         #: path has.
         self.dma_writes = 0
         self.dma_reads = 0
@@ -747,20 +747,6 @@ class NovaFS:
         pending data movement, so this is a no-op for them."""
         return
         yield  # pragma: no cover - makes this a generator
-
-    # ------------------------------------------------------------------
-    # Counter hygiene (reuse across runs)
-    # ------------------------------------------------------------------
-    #: The operation counters every variant carries; reset together
-    #: with ops_completed.
-    OP_COUNTER_NAMES = ("dma_writes", "dma_reads", "memcpy_reads",
-                        "memcpy_writes", "memcpy_ops")
-
-    def reset_op_counters(self) -> None:
-        """Zero ``ops_completed`` and every op counter."""
-        self.ops_completed = 0
-        for name in self.OP_COUNTER_NAMES:
-            setattr(self, name, 0)
 
     # ------------------------------------------------------------------
     # Convenience (drive an op to completion on a throwaway context)

@@ -13,7 +13,7 @@ from repro.fuzz.campaign import (CampaignReport, Failure, FuzzConfig,
 from repro.fuzz.corpus import (CorpusEntry, load_reproducers, pick_parents,
                                reproducer_dict, seed_corpus,
                                write_reproducer)
-from repro.fuzz.coverage import CoverageMap, merge_coverage
+from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.mutate import (MUTATORS, apply_mutation, mutator_names,
                                register_mutator)
 from repro.fuzz.scenario import (DETECTORS, Finding, ScenarioResult,
@@ -27,7 +27,7 @@ __all__ = [
     "CampaignReport", "Failure", "FuzzConfig", "run_campaign",
     "CorpusEntry", "load_reproducers", "pick_parents", "reproducer_dict",
     "seed_corpus", "write_reproducer",
-    "CoverageMap", "merge_coverage",
+    "CoverageMap",
     "MUTATORS", "apply_mutation", "mutator_names", "register_mutator",
     "DETECTORS", "Finding", "ScenarioResult", "run_scenario",
     "shrink",

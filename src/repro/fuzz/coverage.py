@@ -7,15 +7,13 @@ the :mod:`repro.obs.coverage` extractors).  The corpus scheduler asks
 one question -- "did this run reach anything new?" -- and rewards the
 parent tuple whose mutation did.
 
-The map is the one *stateful* object in the fuzzer, so it follows the
-repo's stats discipline: a :meth:`reset` restores construction state,
-and ``tests/test_stats_reset.py`` pins that back-to-back campaigns in
-one process cannot cross-contaminate through it.
+The map is the one *stateful* object in the fuzzer.  Each campaign
+builds a fresh one (``CampaignReport.coverage``), so back-to-back
+campaigns in one process cannot cross-contaminate through it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable
 
 
@@ -24,7 +22,6 @@ class CoverageMap:
 
     def __init__(self):
         self.hits: Dict[str, int] = {}
-        self.observed_runs = 0
 
     def __len__(self) -> int:
         return len(self.hits)
@@ -42,33 +39,4 @@ class CoverageMap:
                 self.hits[k] = 1
             else:
                 self.hits[k] += 1
-        self.observed_runs += 1
         return novel
-
-    def signature(self) -> str:
-        """Order-independent hash of the key *set* (campaign
-        fingerprints; hit counts are excluded so the signature is a
-        pure reachability statement)."""
-        h = hashlib.sha1()
-        for k in sorted(self.hits):
-            h.update(k.encode())
-            h.update(b"\0")
-        return h.hexdigest()[:16]
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.hits)
-
-    def reset(self) -> None:
-        """Restore construction state (stats-reset discipline)."""
-        self.hits.clear()
-        self.observed_runs = 0
-
-
-def merge_coverage(maps: Iterable[CoverageMap]) -> CoverageMap:
-    """Fold several maps into a fresh one (campaign aggregation)."""
-    out = CoverageMap()
-    for m in maps:
-        for k, n in m.hits.items():
-            out.hits[k] = out.hits.get(k, 0) + n
-        out.observed_runs += m.observed_runs
-    return out

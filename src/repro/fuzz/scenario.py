@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.crash.crashmonkey import check_plans, snapshot_with_content
@@ -414,16 +414,16 @@ def _assemble_coverage(tracer, net_tracers, engine, fs, overload,
     keys |= ack_gap_buckets(tracer.events)
     for tr in net_tracers:
         keys |= trace_vocabulary(tr.events)
-    keys |= counter_buckets("engine", engine.stats.as_dict())
+    keys |= counter_buckets("engine", asdict(engine.stats))
     fault_stats = getattr(fs, "fault_stats", None)
     if fault_stats is not None:
-        keys |= counter_buckets("fault", fault_stats.as_dict())
-    keys |= counter_buckets("overload", overload.as_dict())
+        keys |= counter_buckets("fault", asdict(fault_stats))
+    keys |= counter_buckets("overload", asdict(overload))
     if fault_plan is not None:
         keys |= counter_buckets("inject", fault_plan.injected)
     if planner is not None:
         keys |= counter_buckets("plan", planner.plan_classes)
     if net_stats is not None:
-        keys |= counter_buckets("net", net_stats.as_dict())
+        keys |= counter_buckets("net", asdict(net_stats))
     keys |= counter_buckets("out", Counter(outcomes))
     return tuple(sorted(keys))

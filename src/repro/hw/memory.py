@@ -71,15 +71,10 @@ class PoolFlow:
 #: Bounded FIFO-evicting (oldest shape out first): long multi-campaign
 #: processes cycling through many shapes stay capped at
 #: ``_WATERFILL_CACHE_MAX`` entries instead of thrashing on a
-#: clear-everything overflow; :func:`clear_waterfill_cache` empties it
-#: outright (wired into the stats-reset paths).
+#: clear-everything overflow.  A hit returns exactly what a miss would
+#: compute, so the memo never needs clearing between runs.
 _WATERFILL_CACHE: dict = {}
 _WATERFILL_CACHE_MAX = 4096
-
-
-def clear_waterfill_cache() -> None:
-    """Empty the global waterfill memo (stats-reset / test isolation)."""
-    _WATERFILL_CACHE.clear()
 
 
 def _waterfill(demands: List[float], caps: List[float], capacity: float) -> List[float]:
@@ -332,12 +327,6 @@ class BandwidthPool:
             self._alloc_cache[key] = rates
         return rates
 
-    def reset_stats(self) -> None:
-        """Zero the lifetime counters and drop memoised allocations."""
-        self.bytes_moved = 0
-        self.transfers_completed = 0
-        self._alloc_cache.clear()
-
 
 class SlowMemory:
     """One slow-memory device: a set of Optane DIMMs behind shared pools.
@@ -440,23 +429,3 @@ class SlowMemory:
             yield self.read_pool.transfer(
                 nbytes, model.cpu_copy_read_rate, DELEGATION_GROUP, tag)
         return nbytes
-
-    # -- stats -------------------------------------------------------------
-    def bytes_read(self) -> int:
-        """Total bytes read from the device so far."""
-        return self.read_pool.bytes_moved
-
-    def bytes_written(self) -> int:
-        """Total bytes written to the device so far."""
-        return self.write_pool.bytes_moved
-
-    def reset_stats(self) -> None:
-        """Zero both pools' counters and the global waterfill memo.
-
-        Part of the campaign-boundary reset path: long multi-campaign
-        processes call this between runs so byte counters start fresh
-        and memo caches cannot accumulate without bound.
-        """
-        self.read_pool.reset_stats()
-        self.write_pool.reset_stats()
-        clear_waterfill_cache()

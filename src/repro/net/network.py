@@ -24,6 +24,7 @@ reliability lives in the protocols above (:mod:`repro.net.replica`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.sim import Engine, Store
@@ -32,6 +33,7 @@ from repro.sim import Engine, Store
 HEADER_BYTES = 64
 
 
+@dataclass(slots=True)
 class NetStats:
     """Counters for the network and the replication layer above it.
 
@@ -40,30 +42,22 @@ class NetStats:
     ``dropped_partition`` by a cut link, ``dropped_down`` at a down
     endpoint).  Replication-level: ``retransmits``, ``truncations``,
     ``failovers`` (lease epochs granted beyond the first),
-    ``readonly_rejects`` and ``client_retries``.  Like the other shared
-    stats objects, ``reset()`` must zero every field (pinned by
-    ``tests/test_stats_reset.py``).
+    ``readonly_rejects`` and ``client_retries``.
     """
 
-    __slots__ = ("sent", "delivered", "dropped_fault", "dropped_partition",
-                 "dropped_down", "duplicated", "delayed", "bytes_sent",
-                 "retransmits", "truncations", "failovers",
-                 "readonly_rejects", "client_retries")
-
-    def __init__(self):
-        self.reset()
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def reset(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items()
-                          if v)
-        return f"<NetStats {inner}>"
+    sent: int = 0
+    delivered: int = 0
+    dropped_fault: int = 0
+    dropped_partition: int = 0
+    dropped_down: int = 0
+    duplicated: int = 0
+    delayed: int = 0
+    bytes_sent: int = 0
+    retransmits: int = 0
+    truncations: int = 0
+    failovers: int = 0
+    readonly_rejects: int = 0
+    client_retries: int = 0
 
 
 class Endpoint:

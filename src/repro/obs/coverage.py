@@ -3,9 +3,9 @@
 The scenario fuzzer (:mod:`repro.fuzz`) guides mutation by *coverage*:
 cheap, deterministic summaries of what a run exercised.  This module
 turns the observability artefacts the codebase already emits -- the
-structured trace stream (:mod:`repro.obs.trace`) and the ``as_dict()``
+structured trace stream (:mod:`repro.obs.trace`) and the dataclass
 counter families (``EngineStats``/``FaultStats``/``OverloadStats``/
-``NetStats``) -- into sets of string *coverage keys*.  A key is an
+``NetStats``, read with ``dataclasses.asdict``) -- into sets of string *coverage keys*.  A key is an
 opaque token; two runs with the same key set exercised the same
 behaviours at this granularity.
 

@@ -44,6 +44,7 @@ Example
 from __future__ import annotations
 
 import gc
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -109,6 +110,7 @@ def get_tracer_factory() -> Optional[Callable[["Engine"], Any]]:
     return _TRACER_FACTORY
 
 
+@dataclass(slots=True)
 class EngineStats:
     """Counters the engine maintains about its own operation.
 
@@ -120,26 +122,10 @@ class EngineStats:
     ``sleeps_reused`` counts pooled :meth:`Engine.sleep` recycles.
     """
 
-    __slots__ = ("events_fired", "events_cancelled", "heap_compactions",
-                 "sleeps_reused")
-
-    def __init__(self):
-        self.events_fired = 0
-        self.events_cancelled = 0
-        self.heap_compactions = 0
-        self.sleeps_reused = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def reset(self) -> None:
-        """Zero every counter (for reusing an engine across runs)."""
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"<EngineStats {inner}>"
+    events_fired: int = 0
+    events_cancelled: int = 0
+    heap_compactions: int = 0
+    sleeps_reused: int = 0
 
 
 class Event:
@@ -570,16 +556,6 @@ class Engine:
         """Counters: events fired / cancelled, heap compactions, ..."""
         self._stats.sleeps_reused = self._sleeps_reused
         return self._stats
-
-    def reset_stats(self) -> None:
-        """Zero the engine's counters (the clock and queue are untouched).
-
-        The queue's dead-entry count tracks live state, not history, so
-        it is deliberately left alone.  Naming counters are also left
-        alone -- they identify objects already created on this engine.
-        """
-        self._sleeps_reused = 0
-        self._stats.reset()
 
     def name_seq(self, kind: str) -> int:
         """Next value (1, 2, ...) of an engine-scoped naming counter.

@@ -5,6 +5,7 @@ import pytest
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, default_tracing
 from repro.sim import Engine
+from tests.data.capture_golden import counted, fig08, fig09
 
 
 @pytest.fixture
@@ -56,3 +57,25 @@ def run_proc(engine, gen, until=None):
     if not proc.ok:
         raise proc.value
     return proc.value
+
+
+def assert_exact(actual, expected, label):
+    """Same keys, and every value equal to its pinned one."""
+    assert sorted(actual) == sorted(expected), f"{label}: key sets differ"
+    for key in expected:
+        assert actual[key] == expected[key], \
+            f"{label}[{key}]: {actual[key]!r} != pinned {expected[key]!r}"
+
+
+@pytest.fixture(scope="session")
+def fig08_counted():
+    """The serial fig08 golden capture with each point's work counts;
+    one run shared by the golden and work-count gates."""
+    return counted(fig08)
+
+
+@pytest.fixture(scope="session")
+def fig09_counted():
+    """The serial fig09 golden sweep with each point's work counts;
+    one run shared by the golden and work-count gates."""
+    return counted(fig09)

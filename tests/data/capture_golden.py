@@ -1,5 +1,6 @@
 """Capture the golden pre-refactor summary metrics for the pipeline
-equivalence tests (tests/test_golden_equivalence.py).
+equivalence tests (tests/test_golden_equivalence.py), and the exact
+work counts of the same fixed-seed runs (tests/test_work_counts.py).
 
 Run from the repo root::
 
@@ -9,18 +10,28 @@ The output file ``tests/data/golden_pre_refactor.json`` was produced at
 the last pre-refactor commit; the refactored I/O pipeline must
 reproduce every number *exactly* (the simulator is deterministic under
 fixed seeds, so any drift means the refactor changed behaviour).
+
+``tests/data/work_counts.json`` pins how much work those runs do:
+engine events, pool transfers, DMA descriptors and filesystem ops per
+golden point, plus the plan and line-record counts of one line crash
+sweep.  A change may move these on purpose (a perf change that drops
+events, say); recapture them then and say why in the change.
 """
 
 import json
 import os
+from contextlib import contextmanager
+from dataclasses import asdict
 
 from repro.analysis.sweep import run_sweep
-from repro.workloads import FxmarkConfig
+from repro.crash import crashmonkey
+from repro.workloads import FxmarkConfig, fxmark
 from repro.workloads.fxmark import measure_single_op
 from repro.workloads.hwbench import measure_copy_bandwidth
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "golden_pre_refactor.json")
+COUNTS_OUT = os.path.join(HERE, "work_counts.json")
 
 FIG02_CORES = (1, 4, 16)
 FIG08_KINDS = ("nova", "nova-dma", "odinfs", "easyio", "naive")
@@ -70,13 +81,72 @@ def fig09(processes=1):
     return dict(zip(keys, run_sweep(configs, processes=processes)))
 
 
+@contextmanager
+def capturing(module, name):
+    """Wrap the factory ``module.name`` so every object it builds is
+    also appended to the yielded list."""
+    built, real = [], getattr(module, name)
+
+    def factory(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+    setattr(module, name, factory)
+    try:
+        yield built
+    finally:
+        setattr(module, name, real)
+
+
+def work_counts(fs):
+    """The work counters one finished run kept on its filesystem and
+    platform."""
+    platform = fs.platform
+    return {
+        "engine": asdict(platform.engine.stats),
+        "pools": {pool.name: [pool.transfers_completed, pool.bytes_moved]
+                  for pool in (platform.memory.read_pool,
+                               platform.memory.write_pool)},
+        "dma_descriptors": sum(ch.descriptors_completed
+                               for ch in platform.dma.channels),
+        "fs_ops": fs.ops_completed,
+    }
+
+
+def counted(capture_fn):
+    """Run a per-point golden capture (:func:`fig08`, :func:`fig09`)
+    serially; return its summaries and each point's work counts."""
+    with capturing(fxmark, "make_fs") as built:
+        summaries = capture_fn()
+    assert len(built) == len(summaries), "one filesystem per golden point"
+    return summaries, {key: work_counts(fs)
+                       for key, fs in zip(summaries, built)}
+
+
+def crash_line_counts():
+    """Plans (and how many passed), line records and raw states of the
+    easyio/generic_056 line crash sweep."""
+    with capturing(crashmonkey, "CrashPlanner") as planners:
+        report = crashmonkey.run_crash_test("easyio", "generic_056",
+                                            granularity="line")
+    (planner,) = planners
+    return {"plans": report.total_crash_points, "passed": report.passed,
+            "line_records": len(planner.stream.records),
+            "raw_states": report.raw_states}
+
+
 def capture():
-    return {"fig02": fig02(), "fig08": fig08(), "fig09": fig09()}
+    """``(golden summaries, work counts)`` of the fixed-seed runs."""
+    fig08_out, fig08_counts = counted(fig08)
+    fig09_out, fig09_counts = counted(fig09)
+    golden = {"fig02": fig02(), "fig08": fig08_out, "fig09": fig09_out}
+    counts = {"fig08": fig08_counts, "fig09": fig09_counts,
+              "crash_line": crash_line_counts()}
+    return golden, counts
 
 
 if __name__ == "__main__":
-    golden = capture()
-    with open(OUT, "w") as f:
-        json.dump(golden, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {OUT}")
+    for path, data in zip((OUT, COUNTS_OUT), capture()):
+        with open(path, "w") as f:
+            json.dump(data, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {path}")

@@ -1,10 +1,14 @@
 """Tests for metrics collection and report rendering."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
 from repro.analysis import LatencySeries, ThroughputMeter, Timeline
+from repro.analysis.metrics import FaultStats, OverloadStats
+from repro.net import NetStats
+from repro.sim.engine import EngineStats
 from repro.analysis.report import banner, fmt_series, fmt_table, sparkline
 
 
@@ -218,3 +222,16 @@ class TestReport:
 
     def test_sparkline_empty(self):
         assert sparkline([]) == ""
+
+
+class TestCounterFamilies:
+    @pytest.mark.parametrize("cls", [EngineStats, FaultStats, OverloadStats,
+                                     NetStats])
+    def test_fresh_counters_are_zero_and_slotted(self, cls):
+        stats = cls()
+        counters = asdict(stats)
+        assert counters and set(counters.values()) == {0}
+        # Slots: a misspelled counter raises instead of silently
+        # creating a field that no report reads.
+        with pytest.raises(AttributeError):
+            stats.misspelled_counter = 1

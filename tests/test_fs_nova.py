@@ -1,9 +1,14 @@
 """Tests for the NOVA baseline filesystem: namespace + data paths."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.fs import FsError, NovaFS, PMImage
 from repro.fs.structures import PAGE_SIZE, FileKind
+from repro.hw.platform import Platform, PlatformConfig
+from repro.workloads.factory import FS_KINDS, make_fs
+from repro.workloads.fxmark import settle
 from tests.conftest import run_proc
 
 
@@ -263,6 +268,53 @@ class TestAccounting:
         do(fs, fs.write(fs.context(), ino, 0, 4096))
         do(fs, fs.read(fs.context(), ino, 0, 4096))
         assert fs.ops_completed == before + 2
+
+
+#: The operation counters every filesystem variant declares.
+OP_COUNTERS = ("dma_writes", "dma_reads", "memcpy_reads", "memcpy_writes",
+               "memcpy_ops")
+
+
+def _counted_writes(kind, n):
+    """A fresh ``kind`` filesystem after ``n`` 16 KiB writes (each
+    settled): its op counters and its engine's stats."""
+    platform = Platform(PlatformConfig.single_node())
+    fs = make_fs(kind, platform)
+    ino = do(fs, fs.create(fs.context(), "/c"))
+
+    def body():
+        for i in range(n):
+            result = yield from fs.write(fs.context(), ino, i * 16384,
+                                         16384, bytes(16384))
+            yield from settle(fs, result)
+    run_proc(fs.engine, body())
+    counters = {name: getattr(fs, name) for name in OP_COUNTERS}
+    counters["ops_completed"] = fs.ops_completed
+    return counters, asdict(fs.engine.stats)
+
+
+class TestOpCounters:
+    @pytest.mark.parametrize("kind", FS_KINDS)
+    def test_variant_declares_op_counters_and_a_write_bumps_one(self, kind):
+        fs = make_fs(kind, Platform(PlatformConfig.single_node()))
+        # Every variant declares every counter, whether or not its
+        # data path bumps it.
+        assert {name: getattr(fs, name) for name in OP_COUNTERS} \
+            == dict.fromkeys(OP_COUNTERS, 0)
+        counters, _ = _counted_writes(kind, 1)
+        assert counters["ops_completed"] > 0
+        if kind in ("nova-dma", "easyio", "naive"):
+            # These variants carry per-backend counters; the memcpy and
+            # delegation paths (nova, odinfs) count only ops_completed.
+            assert any(counters[name] for name in OP_COUNTERS), \
+                f"{kind}: the write bumped no op counter"
+
+    def test_fresh_filesystems_count_identically(self):
+        """Counters live on each filesystem and engine: a second fresh
+        easyio run in the same process counts exactly like the first."""
+        first = _counted_writes("easyio", 3)
+        assert first[0]["dma_writes"] > 0
+        assert _counted_writes("easyio", 3) == first
 
 
 class TestConcurrency:

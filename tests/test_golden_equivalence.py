@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.obs import default_tracing
+from tests.conftest import assert_exact
 from tests.data.capture_golden import fig02, fig08, fig09
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -32,31 +33,23 @@ def golden():
         return json.load(f)
 
 
-def _assert_exact(actual, expected, label):
-    assert sorted(actual) == sorted(expected), \
-        f"{label}: key sets differ"
-    for key in expected:
-        assert actual[key] == expected[key], \
-            f"{label}[{key}]: {actual[key]!r} != golden {expected[key]!r}"
-
-
 @pytest.mark.slow
 def test_fig02_copy_bandwidth_exact(golden):
-    _assert_exact(fig02(), golden["fig02"], "fig02")
+    assert_exact(fig02(), golden["fig02"], "fig02")
 
 
 @pytest.mark.slow
-def test_fig08_single_op_latency_exact(golden):
-    actual = fig08()
-    _assert_exact(actual, golden["fig08"], "fig08")
+def test_fig08_single_op_latency_exact(golden, fig08_counted):
+    actual = fig08_counted[0]
+    assert_exact(actual, golden["fig08"], "fig08")
     # The breakdown dicts nest one level deeper; spot-check shape.
     sample = next(iter(actual.values()))
     assert set(sample) == {"lat", "cpu", "breakdown"}
 
 
 @pytest.mark.slow
-def test_fig09_throughput_latency_exact(golden):
-    _assert_exact(fig09(), golden["fig09"], "fig09")
+def test_fig09_throughput_latency_exact(golden, fig09_counted):
+    assert_exact(fig09_counted[0], golden["fig09"], "fig09")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +58,7 @@ def test_fig09_throughput_latency_exact(golden):
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_fig09_parallel_runner_exact(golden):
-    _assert_exact(fig09(processes=2), golden["fig09"], "fig09[parallel]")
+    assert_exact(fig09(processes=2), golden["fig09"], "fig09[parallel]")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +71,7 @@ def test_fig08_traced_exact(golden):
     tracers = []
     with default_tracing(collect=tracers):
         actual = fig08()
-    _assert_exact(actual, golden["fig08"], "fig08[traced]")
+    assert_exact(actual, golden["fig08"], "fig08[traced]")
     assert sum(tr.emitted for tr in tracers) > 0, "nothing was traced"
 
 
@@ -89,6 +82,6 @@ def test_fig09_traced_ring_buffer_exact(golden):
     tracers = []
     with default_tracing(capacity=capacity, collect=tracers):
         actual = fig09()
-    _assert_exact(actual, golden["fig09"], "fig09[traced+ring]")
+    assert_exact(actual, golden["fig09"], "fig09[traced+ring]")
     assert tracers, "nothing was traced"
     assert all(len(tr) <= capacity for tr in tracers)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw import memory as hw_memory
 from repro.hw.memory import (
     CPU_GROUP,
     DELEGATION_GROUP,
@@ -35,6 +36,17 @@ class TestWaterfill:
 
     def test_empty(self):
         assert _waterfill([], [], 5) == []
+
+    def test_memo_cache_is_bounded_with_fifo_eviction(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(hw_memory, "_WATERFILL_CACHE", cache)
+        cap = hw_memory._WATERFILL_CACHE_MAX
+        for i in range(cap + 50):
+            _waterfill([1.0], [float(i + 1)], 1.0)
+        assert len(cache) == cap
+        # Oldest entries were evicted, newest are resident.
+        assert ((1.0,), (float(cap + 50),), 1.0) in cache
+        assert ((1.0,), (1.0,), 1.0) not in cache
 
 
 class TestBandwidthPool:
@@ -237,8 +249,8 @@ class TestSlowMemory:
 
     def test_byte_counters(self, node):
         run_copy(node, 4096, write=True)
-        assert node.memory.bytes_written() == 4096
-        assert node.memory.bytes_read() == 0
+        assert node.memory.write_pool.bytes_moved == 4096
+        assert node.memory.read_pool.bytes_moved == 0
 
 
 def run_copy(platform, nbytes, write):

@@ -7,6 +7,8 @@ cluster's lease budget, and the whole run is a deterministic function
 of its config -- a failing seed replays exactly.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.net import Cluster, NodeCrashFault, PartitionFault
@@ -101,7 +103,7 @@ class TestDeterminism:
         def key(r):
             return (r.offered, r.acked, r.deadline_missed, r.failed,
                     r.lease_log, r.failover_times_ns, r.elapsed_ns,
-                    r.stats.as_dict())
+                    asdict(r.stats))
         assert key(a) == key(b)
 
     def test_different_seed_diverges(self):
@@ -109,7 +111,7 @@ class TestDeterminism:
             return run_replication(ReplicationConfig(
                 n_clients=1, writes_per_client=6, seed=s, p_drop=0.15,
                 max_faults=100))
-        assert (mk(1).stats.as_dict() != mk(2).stats.as_dict()
+        assert (mk(1).stats != mk(2).stats
                 or mk(1).elapsed_ns != mk(2).elapsed_ns)
 
 

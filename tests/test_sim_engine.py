@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.sim import Engine, Interrupt, SimulationError
@@ -293,10 +295,27 @@ class TestEngineStats:
             for _ in range(5):
                 yield engine.sleep(10)
         run_proc(engine, body())
-        stats = engine.stats.as_dict()
+        stats = asdict(engine.stats)
         assert stats["events_fired"] >= 5
         assert set(stats) == {"events_fired", "events_cancelled",
                               "heap_compactions", "sleeps_reused"}
+
+    def test_fresh_engines_count_identically(self):
+        """Counters live on the engine, not the class: two fresh engines
+        running the same body in one process report the same stats."""
+        def run_once():
+            engine = Engine()
+
+            def body():
+                for _ in range(7):
+                    yield engine.sleep(10)
+                engine.timeout(1000).cancel()
+            run_proc(engine, body())
+            return asdict(engine.stats)
+
+        first = run_once()
+        assert first["events_fired"] > 0 and first["events_cancelled"] == 1
+        assert run_once() == first
 
     def test_pooled_sleeps_are_reused(self, engine):
         def body():

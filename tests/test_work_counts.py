@@ -1,0 +1,48 @@
+"""Exact work counts: how much the fixed-seed golden runs cost.
+
+``tests/data/work_counts.json`` pins, per fig08/fig09 golden point, the
+counters the simulator already keeps -- engine events, cancellations,
+compactions and pooled-sleep reuses; each bandwidth pool's transfers
+and bytes; completed DMA descriptors; filesystem ops -- and, for one
+line crash sweep, its plans (all of which must pass), line records and
+raw states.
+
+The goldens pin *what* a run computes; these pin *how much work* it
+does to get there.  Both are host-independent, so the gate is exact: a
+change that adds work per op fails here on any machine, even when
+every golden number stays put.  Recapture (after an intentional change
+in work) with::
+
+    PYTHONPATH=src python tests/data/capture_golden.py
+"""
+
+import json
+import os
+
+import pytest
+
+from tests.conftest import assert_exact
+from tests.data.capture_golden import crash_line_counts
+
+COUNTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "data", "work_counts.json")
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with open(COUNTS) as f:
+        return json.load(f)
+
+
+@pytest.mark.slow
+def test_fig08_work_counts_exact(pinned, fig08_counted):
+    assert_exact(fig08_counted[1], pinned["fig08"], "fig08")
+
+
+@pytest.mark.slow
+def test_fig09_work_counts_exact(pinned, fig09_counted):
+    assert_exact(fig09_counted[1], pinned["fig09"], "fig09")
+
+
+def test_crash_line_work_counts_exact(pinned):
+    assert_exact(crash_line_counts(), pinned["crash_line"], "crash_line")
