@@ -36,6 +36,7 @@ and seed produce the identical plan list (tests pin this).
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -232,11 +233,17 @@ class CrashPlanner:
             by_sig: Dict[str, List[CrashPlan]] = {}
             for p in kept:
                 by_sig.setdefault(p.signature, []).append(p)
-            while sum(len(v) for v in by_sig.values()) > self.budget:
-                sig = max(sorted(by_sig), key=lambda s: len(by_sig[s]))
-                if len(by_sig[sig]) <= 1:
-                    break
-                by_sig[sig].pop(rng.randrange(1, len(by_sig[sig])))
+            # Trim the largest group (smallest signature on ties) one
+            # plan at a time, never below its first plan.
+            heap = [(-len(grp), sig) for sig, grp in by_sig.items()]
+            heapq.heapify(heap)
+            total = len(kept)
+            while total > self.budget and heap[0][0] < -1:
+                neg, sig = heap[0]
+                grp = by_sig[sig]
+                grp.pop(rng.randrange(1, len(grp)))
+                total -= 1
+                heapq.heapreplace(heap, (neg + 1, sig))
             kept = [p for sig in sorted(by_sig) for p in by_sig[sig]]
         kept.sort(key=lambda p: (p.point, p.cls))
         return kept

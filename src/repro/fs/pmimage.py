@@ -269,6 +269,26 @@ class PMImage:
             img.apply(rec)
         return img
 
+    def copy(self) -> "PMImage":
+        """A non-recording image holding the same durable state.
+
+        Every container is the copy's own (replay and recovery mutate
+        logs, journal and error-SN sets in place); the stored values --
+        page bytes, frozen inode and log records -- are shared.
+        """
+        img = PMImage(record=False)
+        img.pages = dict(self.pages)
+        img.inodes = dict(self.inodes)
+        img.logs = {ino: list(log) for ino, log in self.logs.items()}
+        img.log_tails = dict(self.log_tails)
+        img.journal = list(self.journal)
+        img.completion_buffers = dict(self.completion_buffers)
+        img.channel_error_sns = {ch: set(sns) for ch, sns
+                                 in self.channel_error_sns.items()}
+        img.next_ino = self.next_ino
+        img.next_page = self.next_page
+        return img
+
     def apply(self, rec: MutationRecord) -> None:
         """Apply one replayed mutation record."""
         op, args = rec.op, rec.args

@@ -6,6 +6,7 @@ import pytest
 from repro.crash import CRASH_WORKLOADS, run_crash_test
 from repro.crash.crashmonkey import snapshot_with_content
 from repro.fs import NovaFS, PMImage
+from repro.fs.structures import ROOT_INO
 from repro.hw.platform import Platform, PlatformConfig
 from tests.conftest import run_proc
 
@@ -36,6 +37,55 @@ class TestHarness:
             run_proc(fs.engine, scenario())
             return snapshot_with_content(fs._mem, fs.image)["/f"][2]
         assert snap_for(b"a" * 4096) != snap_for(b"b" * 4096)
+
+
+class TestContentMemo:
+    """The sweep-wide digest memo is keyed on page bytes, not page
+    ids: CoW recycles a freed page id for a later file's new bytes."""
+
+    def test_recycled_page_id_gets_its_own_digest(self):
+        from repro.crash.crashmonkey import _page_states, _record_workload
+        from repro.fs.recovery import recover
+
+        _desc, driver, _ = CRASH_WORKLOADS["create_delete"]
+        image, _oracle = _record_workload("nova", driver, 6)
+        memo: dict = {}
+        by_layout: dict = {}
+        for k, img in _page_states(image, range(image.crash_points() + 1)):
+            inodes = recover(img).inodes
+            snap = snapshot_with_content(inodes, img, content_memo=memo)
+            assert snap == snapshot_with_content(inodes, img), k
+            for name, ino in inodes[ROOT_INO].dentries.items():
+                m = inodes[ino]
+                layout = (m.size, tuple((off, pm.page_id)
+                                        for off, pm in m.index.items()))
+                by_layout.setdefault(layout, set()).add(snap[f"/{name}"][2])
+        # Some (size, page ids) layout recurs with different bytes: a
+        # memo keyed on page ids would hand the later state the
+        # earlier digest.
+        assert any(len(d) > 1 for d in by_layout.values())
+
+    @pytest.mark.parametrize("kind,granularity,mutant", [
+        ("easyio", "page", None),
+        ("nova", "line", None),
+        ("easyio", "line", "skip_append_fence"),
+    ])
+    def test_sweep_verdicts_match_memo_less_run(self, monkeypatch, kind,
+                                                granularity, mutant):
+        from repro.crash import crashmonkey
+
+        def sweep():
+            return run_crash_test(kind, "create_delete", crash_points=120,
+                                  granularity=granularity, mutant=mutant)
+
+        memoised = sweep()
+        plain = crashmonkey.snapshot_with_content
+        monkeypatch.setattr(
+            crashmonkey, "snapshot_with_content",
+            lambda inodes, image, digest_cache=None, content_memo=None:
+            plain(inodes, image))
+        assert sweep() == memoised
+        assert memoised.all_passed == (mutant is None)
 
 
 @pytest.mark.parametrize("workload", sorted(CRASH_WORKLOADS))

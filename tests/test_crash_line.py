@@ -74,6 +74,14 @@ class TestCleanSweeps:
         assert report.all_passed, report.failures[:5]
         assert report.raw_states > report.total_crash_points ** 2
 
+    @pytest.mark.parametrize("kind", ["easyio", "nova"])
+    def test_clean_line_sweep_passes_over_recycled_pages(self, kind):
+        """create_delete hands freed page ids to later files with new
+        bytes: crash states that map one page id to different content
+        must still get their own digests."""
+        report = _line_report(kind, workload="create_delete")
+        assert report.all_passed, report.failures[:5]
+
     def test_clean_line_sweep_passes_under_halts(self):
         """Channel halts exercise retry/failover/degrade; the correct
         implementation must still pass every plan (no false

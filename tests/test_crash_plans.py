@@ -253,6 +253,105 @@ class TestSampling:
         assert sum(planner.plan_classes.values()) == len(plans)
 
 
+def _sample_ref(planner, plans, rng_cls=random.Random):
+    """``CrashPlanner._sample`` with its original quadratic budget
+    loop: re-sum every group and re-scan the sorted signatures for the
+    largest group after every dropped plan."""
+    if planner.per_signature is None and planner.budget is None:
+        return plans
+    rng = rng_cls(planner.seed)
+    groups = {}
+    for p in plans:
+        groups.setdefault(p.signature, []).append(p)
+    kept = []
+    k = planner.per_signature
+    for sig in sorted(groups):
+        grp = sorted(groups[sig], key=lambda p: (p.point, p.cls))
+        if k is not None and len(grp) > k:
+            middle = grp[1:-1]
+            grp = sorted(
+                [grp[0], grp[-1]] + rng.sample(middle,
+                                               min(k - 2, len(middle))),
+                key=lambda p: (p.point, p.cls)) if k >= 2 \
+                else [grp[0]]
+        kept.extend(grp)
+    if planner.budget is not None and len(kept) > planner.budget:
+        by_sig = {}
+        for p in kept:
+            by_sig.setdefault(p.signature, []).append(p)
+        while sum(len(v) for v in by_sig.values()) > planner.budget:
+            sig = max(sorted(by_sig), key=lambda s: len(by_sig[s]))
+            if len(by_sig[sig]) <= 1:
+                break
+            by_sig[sig].pop(rng.randrange(1, len(by_sig[sig])))
+        kept = [p for sig in sorted(by_sig) for p in by_sig[sig]]
+    kept.sort(key=lambda p: (p.point, p.cls))
+    return kept
+
+
+class _DrawLog(random.Random):
+    """A ``random.Random`` that logs every draw the sampler makes."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.draws.append(("randrange", args, value))
+        return value
+
+    def sample(self, population, k):
+        value = super().sample(population, k)
+        self.draws.append(("sample", len(population), k,
+                           [(p.point, p.cls) for p in value]))
+        return value
+
+
+class TestBudgetTrim:
+    def test_heap_trim_matches_quadratic_loop(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.crash import plans as plans_mod
+        made = []
+
+        def logged(seed):
+            made.append(_DrawLog(seed))
+            return made[-1]
+
+        monkeypatch.setattr(plans_mod, "random",
+                            SimpleNamespace(Random=logged))
+        rng = random.Random(0x5A5)
+        budgets_hit = 0
+        for trial in range(200):
+            sizes = [rng.choice([1, 1, 2, 3, 5, 8, 13])
+                     for _ in range(rng.randint(1, 12))]
+            plans = [CrashPlan(point=rng.randrange(500), cls=f"c{j}",
+                               applied=frozenset(), partials=(), lo=0,
+                               hi=0, signature=f"s{g:02d}")
+                     for g, size in enumerate(sizes) for j in range(size)]
+            rng.shuffle(plans)
+            planner = CrashPlanner(LineStream(),
+                                   per_signature=rng.choice([None, 1, 2,
+                                                             3, 4]),
+                                   budget=rng.choice(
+                                       [None, 0, 1, len(sizes),
+                                        rng.randint(1, len(plans))]),
+                                   seed=rng.randrange(1 << 30))
+            made.clear()
+            got = planner._sample(list(plans))
+            want = _sample_ref(planner, list(plans), logged)
+            assert got == want, trial
+            assert [p.signature for p in got] \
+                == [p.signature for p in want]
+            if made:
+                got_rng, want_rng = made
+                assert got_rng.draws == want_rng.draws, trial
+                budgets_hit += any(d[0] == "randrange"
+                                   for d in got_rng.draws)
+        assert budgets_hit > 20
+
+
 class TestPlanValue:
     def test_plan_is_hashable_and_ordered(self):
         p = CrashPlan(point=3, cls="intact", applied=frozenset(),
