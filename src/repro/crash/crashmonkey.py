@@ -42,6 +42,7 @@ from repro.fs.structures import ROOT_INO, FileKind, MemInode, TornRecord
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, default_tracing
 from repro.workloads.factory import make_fs
+from repro.workloads.fxmark import settle
 
 Snapshot = Dict[str, Tuple]
 
@@ -132,17 +133,6 @@ def snapshot_with_content(inodes: Dict[int, MemInode], image: PMImage,
     return out
 
 
-def _settle(fs, result):
-    """Wait out an async op and run its deferred commit syscall, if any
-    (the Naive ablation commits metadata in a second syscall)."""
-    if result.is_async:
-        yield result.pending
-    continuation = getattr(result, "continuation", None)
-    if continuation is not None:
-        ctx = fs.context(record=False)
-        yield from continuation(ctx)
-
-
 def _payload(tag: int, nbytes: int) -> bytes:
     """Deterministic, tag-distinguishable file content."""
     unit = (f"{tag:08x}".encode() * ((nbytes // 8) + 1))[:nbytes]
@@ -160,7 +150,7 @@ def _wl_create_delete(fs, iterations: int):
         yield ("op",)
         result = yield from fs.write(fs.context(record=False), ino, 0,
                                      12288, _payload(i, 12288))
-        yield from _settle(fs, result)
+        yield from settle(fs, result)
         yield ("op",)
         if i >= 2:
             yield from fs.unlink(fs.context(record=False), f"/cd{i - 2}")
@@ -174,7 +164,7 @@ def _wl_generic_056(fs, iterations: int):
         yield ("op",)
         result = yield from fs.write(fs.context(record=False), ino, 0,
                                      8192, _payload(i, 8192))
-        yield from _settle(fs, result)
+        yield from settle(fs, result)
         yield ("op",)
         yield from fs.link(fs.context(record=False), f"/a{i}", f"/b{i}")
         yield ("op",)
@@ -187,11 +177,11 @@ def _wl_generic_090(fs, iterations: int):
     for i in range(iterations):
         result = yield from fs.write(fs.context(record=False), ino,
                                      0, 8192, _payload(i, 8192))
-        yield from _settle(fs, result)
+        yield from settle(fs, result)
         yield ("op",)
         result = yield from fs.append(fs.context(record=False), ino,
                                       4096, _payload(i ^ 0xFF, 4096))
-        yield from _settle(fs, result)
+        yield from settle(fs, result)
         yield ("op",)
         if i % 4 == 0:
             yield from fs.link(fs.context(record=False), "/g090", f"/l{i}")
@@ -205,7 +195,7 @@ def _wl_generic_322(fs, iterations: int):
         yield ("op",)
         result = yield from fs.write(fs.context(record=False), ino, 0,
                                      16384, _payload(i, 16384))
-        yield from _settle(fs, result)
+        yield from settle(fs, result)
         yield ("op",)
         yield from fs.rename(fs.context(record=False), f"/t{i}", f"/r{i}")
         yield ("op",)

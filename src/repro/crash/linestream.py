@@ -8,12 +8,13 @@ land in *any subset*, constrained only by the flush/fence points the
 code actually executed.  This module records exactly that missing
 information.
 
-A line-recording image journals, alongside every mutation, a stream of
+A line-recording image hands every mutation record it journals to
+:meth:`LineStream.emit`, which turns it into a stream of
 
-* :class:`LineStore` records -- one logical durable store, decomposed
-  into 64-byte cache lines (``nlines``), tagged with the *mechanism*
-  that issued it (log append, tail commit, journal record, SN slot,
-  page data, ...), and
+* :class:`LineStore` records -- the mutation record itself, decomposed
+  into 64-byte cache lines (``nlines``) and tagged, by its
+  :data:`MECHANISMS` row, with the *mechanism* that issued it (log
+  append, tail commit, journal record, SN slot, page data, ...), and
 * :class:`FenceRec` records -- the explicit ordering points: a global
   ``sfence`` after a ``clwb`` train (scope ``None``), or a DMA
   completion fence that covers one channel's descriptors up to an SN
@@ -42,8 +43,10 @@ Durability semantics (the in-flight-store analysis consumed by
 Replaying a :class:`~repro.crash.plans.CrashPlan` (a point in the
 stream plus a chosen subset of the in-flight stores, some of them
 partially applied) produces a fresh :class:`PMImage` -- the post-crash
-state handed to recovery.  Partially applied multi-line log/journal
-records become :class:`~repro.fs.structures.TornEntry` /
+state handed to recovery.  A whole store replays through
+:meth:`PMImage.apply`, the rule the mutation journal's replay uses;
+partially applied multi-line log/journal records become
+:class:`~repro.fs.structures.TornEntry` /
 :class:`~repro.fs.structures.TornRecord` sentinels.
 """
 
@@ -52,14 +55,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from repro.fs.pmimage import PMImage
+from repro.fs.pmimage import MutationRecord, PMImage
 from repro.fs.structures import TornEntry, TornRecord
 
 #: Persist granularity: one CPU cache line.
 CACHE_LINE = 64
 
 # -- the mechanism catalog ---------------------------------------------
-#: mechanism -> behaviour class.
+#: PMImage mutation op -> (mechanism, behaviour class, fence label).
+#:
+#: Behaviour classes:
 #:
 #: * ``atomic``      -- an 8-byte-atomic slot: all-or-nothing;
 #: * ``record``      -- a multi-line metadata record (log/journal
@@ -68,46 +73,49 @@ CACHE_LINE = 64
 #: * ``immediate``   -- durable at issue (ADR domain): never in flight;
 #: * ``bookkeeping`` -- modeling-only counters: applied at every point.
 #:
-#: To add a mechanism: emit its stores through a LineStream helper with
-#: a new name, register the class here, give it an apply rule in
-#: ``_apply_store``/``_apply_partial``, and (if recovery must react to
-#: its torn/dropped shapes) extend the mechanism checks in
-#: ``crashmonkey._mechanism_checks``.  DESIGN.md §13 walks through it.
-MECHANISMS: Dict[str, str] = {
-    "page-data": "data",
-    "log-append": "record",
-    "log-commit": "atomic",
-    "inode": "atomic",
-    "inode-drop": "atomic",
-    "journal-entry": "record",
-    "journal-retire": "atomic",
-    "completion-buffer": "immediate",
-    "error-log": "atomic",
-    "SN-slot": "atomic",
-    "alloc-ino": "bookkeeping",
-    "alloc-page": "bookkeeping",
+#: The label names the global sfence that follows the store (a log
+#: append's also carries the entry type, e.g. ``append:WriteEntry``).
+#: ``None`` means no fence of its own: page trains are fenced by
+#: :meth:`LineStream.pages_fence`, a completion-buffer store is
+#: *preceded* by its channel's completion fence, bookkeeping needs none.
+#: Mechanism names appear in plan classes and fuzz coverage keys.
+#:
+#: To add a mechanism: a PMImage mutation method, its ``PMImage.apply``
+#: branch, one row here, and a tear rule in ``_apply_partial`` if it
+#: can tear (DESIGN.md §13).
+MECHANISMS: Dict[str, Tuple[str, str, Optional[str]]] = {
+    "write_page": ("page-data", "data", None),
+    "append_log": ("log-append", "record", "append:"),
+    "commit_log_tail": ("log-commit", "atomic", "commit"),
+    "put_inode": ("inode", "atomic", "inode"),
+    "drop_inode": ("inode-drop", "atomic", "inode"),
+    "journal_begin": ("journal-entry", "record", "journal"),
+    "journal_end": ("journal-retire", "atomic", "journal-retire"),
+    "update_completion_buffer": ("completion-buffer", "immediate", None),
+    "record_channel_errors": ("error-log", "atomic", "error"),
+    "amend_log_sns": ("SN-slot", "atomic", "amend"),
+    "alloc_ino": ("alloc-ino", "bookkeeping", None),
+    "alloc_page_ids": ("alloc-page", "bookkeeping", None),
 }
 
 
 class LineStore:
     """One logical durable store, decomposed into 64B cache lines.
 
-    ``seq`` is the record's index in the stream; ``obj`` the applied
-    object's key (e.g. ``("page", pid)``); ``payload`` whatever the
-    apply rule needs; ``dep`` the ``(channel, sn)`` a DMA-written store
-    waits on (None for CPU stores).
+    ``seq`` is the record's index in the stream; ``rec`` the
+    :class:`~repro.fs.pmimage.MutationRecord` it persists (replay
+    applies it with :meth:`PMImage.apply`); ``dep`` the ``(channel,
+    sn)`` a DMA-written store waits on (None for CPU stores).
     """
 
-    __slots__ = ("seq", "mech", "klass", "obj", "nlines", "payload", "dep")
+    __slots__ = ("seq", "mech", "klass", "rec", "nlines", "dep")
 
-    def __init__(self, seq: int, mech: str, obj: Tuple, payload: Any,
-                 nlines: int = 1, dep: Optional[Tuple[int, int]] = None):
+    def __init__(self, seq: int, rec: MutationRecord, nlines: int = 1,
+                 dep: Optional[Tuple[int, int]] = None):
         self.seq = seq
-        self.mech = mech
-        self.klass = MECHANISMS[mech]
-        self.obj = obj
+        self.mech, self.klass, _label = MECHANISMS[rec.op]
+        self.rec = rec
         self.nlines = nlines
-        self.payload = payload
         self.dep = dep
 
     @property
@@ -115,21 +123,9 @@ class LineStore:
         """Durable the instant it is issued (never part of a plan)."""
         return self.klass in ("immediate", "bookkeeping")
 
-    def line_slices(self) -> List[Tuple[int, bytes]]:
-        """The store's exact 64B tiling: ``[(line_idx, bytes), ...]``.
-
-        Only meaningful for ``data`` stores (their payload is the raw
-        byte content); the slices partition the payload, every slice
-        except possibly the last is exactly :data:`CACHE_LINE` bytes.
-        """
-        data = self.payload
-        return [(i, data[i * CACHE_LINE:(i + 1) * CACHE_LINE])
-                for i in range(self.nlines)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dep = f" dep={self.dep}" if self.dep else ""
-        return (f"<store#{self.seq} {self.mech} {self.obj} "
-                f"x{self.nlines}{dep}>")
+        return f"<store#{self.seq} {self.mech} x{self.nlines}{dep}>"
 
 
 class FenceRec:
@@ -174,10 +170,11 @@ def _entry_lines(entry: Any) -> int:
 class LineStream:
     """The cache-line persistence journal of one recording image.
 
-    Emission helpers are called from the image's mutation methods (and
-    from the DMA backend at descriptor submission); each encodes the
-    store+fence policy of its mechanism, so the stream is a faithful
-    flush/fence trace of the protocol the filesystem actually ran.
+    The image passes every :class:`~repro.fs.pmimage.MutationRecord`
+    to :meth:`emit`, which issues its line store and fence by the
+    :data:`MECHANISMS` row; the DMA backend announces submitted pages
+    and the supervisor cancels failed descriptors.  The stream is thus
+    a faithful flush/fence trace of the protocol the filesystem ran.
     """
 
     def __init__(self):
@@ -210,12 +207,11 @@ class LineStream:
         return len(self.records)
 
     # -- raw emission --------------------------------------------------
-    def store(self, mech: str, obj: Tuple, payload: Any, nlines: int = 1,
+    def store(self, rec: MutationRecord, nlines: int = 1,
               dep: Optional[Tuple[int, int]] = None) -> LineStore:
-        rec = LineStore(len(self.records), mech, obj, payload,
-                        nlines=nlines, dep=dep)
-        self.records.append(rec)
-        return rec
+        store = LineStore(len(self.records), rec, nlines=nlines, dep=dep)
+        self.records.append(store)
+        return store
 
     def fence(self, label: str,
               scope: Optional[Tuple[int, int]] = None) -> Optional[FenceRec]:
@@ -228,18 +224,45 @@ class LineStream:
             self.tracer.point("line_fence", track="pm", label=label)
         return rec
 
-    # -- mechanism helpers (called by PMImage / the DMA backend) -------
+    def emit(self, rec: MutationRecord) -> None:
+        """Journal one image mutation as its line store and fence."""
+        op, args = rec.op, rec.args
+        if op == "write_page":
+            self._page_write(rec)
+            return
+        if op == "update_completion_buffer":
+            # The completion fence *precedes* the buffer store: by the
+            # time the completion value is observable, the covered data
+            # is in the power-fail domain.  The store itself is in the
+            # ADR domain (immediate): EasyIO's recovery rule is sound
+            # only because a persisted completion value can never run
+            # ahead of its data.
+            self.fence(f"dma-ch{args[0]}", scope=args)
+        elif op == "record_channel_errors":
+            self.cancel_sns(*args)
+        nlines = 1
+        label = MECHANISMS[op][2]
+        if op == "append_log":
+            nlines = _entry_lines(args[1])
+            label += type(args[1]).__name__
+        elif op == "journal_begin":
+            nlines = 2
+        self.store(rec, nlines=nlines)
+        if label is not None:
+            self.fence(label)
+
+    # -- DMA and page trains (the DMA backend, supervisor, persister) --
     def announce_dma_pages(self, channel_id: int, sn: int,
                            pids: Iterable[int],
                            contents: Iterable[bytes]) -> None:
         """A submitted write descriptor's pages: in flight from now,
         durable only once a completion fence covers ``sn``."""
         for pid, content in zip(pids, contents):
-            rec = self.store("page-data", ("page", pid), content,
-                             nlines=_page_lines(content),
-                             dep=(channel_id, sn))
-            self._announced[pid] = rec.seq
-            self._by_dep.setdefault((channel_id, sn), []).append(rec.seq)
+            store = self.store(MutationRecord("write_page", (pid, content)),
+                               nlines=_page_lines(content),
+                               dep=(channel_id, sn))
+            self._announced[pid] = store.seq
+            self._by_dep.setdefault((channel_id, sn), []).append(store.seq)
 
     def cancel_sns(self, channel_id: int, sns: Iterable[int]) -> None:
         """Failed/stranded descriptors: their announced data never
@@ -249,7 +272,7 @@ class LineStream:
             for seq in self._by_dep.pop((channel_id, sn), ()):
                 self.cancelled.add(seq)
 
-    def page_write(self, pid: int, data: Any) -> None:
+    def _page_write(self, rec: MutationRecord) -> None:
         """A page landed via :meth:`PMImage.write_page`.
 
         DMA completions re-land pages that were already announced at
@@ -258,15 +281,12 @@ class LineStream:
         CPU store train (memcpy path, degradation, media rewrite),
         fenced by the persister's :meth:`pages_fence`.
         """
-        seq = self._announced.get(pid)
-        if seq is not None:
-            rec = self.records[seq]
-            if rec.payload == data and seq not in self.cancelled:
-                del self._announced[pid]
-                return
-            del self._announced[pid]
-        self.store("page-data", ("page", pid), data,
-                   nlines=_page_lines(data))
+        pid, data = rec.args
+        seq = self._announced.pop(pid, None)
+        if seq is not None and seq not in self.cancelled \
+                and self.records[seq].rec.args[1] == data:
+            return
+        self.store(rec, nlines=_page_lines(data))
         self._cpu_pages_dirty = True
 
     def pages_fence(self) -> None:
@@ -275,57 +295,6 @@ class LineStream:
         if self._cpu_pages_dirty:
             self._cpu_pages_dirty = False
             self.fence("pages")
-
-    def log_append(self, ino: int, entry: Any) -> None:
-        self.store("log-append", ("log", ino), (ino, entry),
-                   nlines=_entry_lines(entry))
-        self.fence(f"append:{type(entry).__name__}")
-
-    def log_commit(self, ino: int, tail: int) -> None:
-        self.store("log-commit", ("tail", ino), (ino, tail))
-        self.fence("commit")
-
-    def inode_put(self, ino: int, inode: Any) -> None:
-        self.store("inode", ("inode", ino), (ino, inode))
-        self.fence("inode")
-
-    def inode_drop(self, ino: int) -> None:
-        self.store("inode-drop", ("inode", ino), ino)
-        self.fence("inode")
-
-    def journal_begin(self, txn: Any) -> None:
-        self.store("journal-entry", ("journal",), txn, nlines=2)
-        self.fence("journal")
-
-    def journal_retire(self) -> None:
-        self.store("journal-retire", ("journal",), None)
-        self.fence("journal-retire")
-
-    def completion_update(self, channel_id: int, sn: int) -> None:
-        # The completion fence *precedes* the buffer store: by the time
-        # the completion value is observable, the covered data is in
-        # the power-fail domain.  The store itself is in the ADR domain
-        # (immediate): EasyIO's recovery rule is sound only because a
-        # persisted completion value can never run ahead of its data.
-        self.fence(f"dma-ch{channel_id}", scope=(channel_id, sn))
-        self.store("completion-buffer", ("cbuf", channel_id),
-                   (channel_id, sn))
-
-    def error_log(self, channel_id: int, sns: Tuple[int, ...]) -> None:
-        self.cancel_sns(channel_id, sns)
-        self.store("error-log", ("errlog", channel_id), (channel_id, sns))
-        self.fence("error")
-
-    def sn_amend(self, ino: int, index: int,
-                 sns: Tuple[Tuple[int, int], ...]) -> None:
-        self.store("SN-slot", ("amend", ino, index), (ino, index, sns))
-        self.fence("amend")
-
-    def alloc_ino(self, ino: int) -> None:
-        self.store("alloc-ino", ("alloc-ino",), ino)
-
-    def alloc_pages(self, next_page: int) -> None:
-        self.store("alloc-page", ("alloc-page",), next_page)
 
 
 def _page_lines(data: Any) -> int:
@@ -348,6 +317,7 @@ def _covered_at(stream: LineStream) -> List[int]:
     fence covers a store does not depend on which other stores were
     cancelled, so the cached list stays valid as ``cancel_sns``
     arrives.  Built in one pass and cached until the stream grows.
+    Replay and the crash planner both read coverage from here.
     """
     records = stream.records
     n = len(records)
@@ -456,7 +426,7 @@ def _checkpoint(stream: LineStream, cov: List[int],
         at, img = 0, PMImage(record=False)
     for i in range(at, q):
         if cov[i] >= 0 and i not in cancelled:
-            _apply_store(img, records[i])
+            img.apply(records[i].rec)
     stream._checkpoint = ck._replace(at=q, img=img)
     return q, img
 
@@ -485,7 +455,7 @@ def replay_plan(stream: LineStream, plan) -> PMImage:
         if lines is not None:
             _apply_partial(img, records[i], lines)
         elif (c < point and i not in cancelled) or i in applied:
-            _apply_store(img, records[i])
+            img.apply(records[i].rec)
     return img
 
 
@@ -504,49 +474,7 @@ def replay_full(stream: LineStream) -> PMImage:
         partials={}))
 
 
-def _apply_store(img: PMImage, rec: LineStore) -> None:
-    mech, payload = rec.mech, rec.payload
-    if mech == "page-data":
-        img.pages[rec.obj[1]] = payload
-    elif mech == "log-append":
-        ino, entry = payload
-        img.logs.setdefault(ino, []).append(entry)
-    elif mech == "log-commit":
-        ino, tail = payload
-        img.log_tails[ino] = tail
-    elif mech == "inode":
-        ino, inode = payload
-        img.inodes[ino] = inode
-    elif mech == "inode-drop":
-        img.inodes.pop(payload, None)
-        img.logs.pop(payload, None)
-        img.log_tails.pop(payload, None)
-    elif mech == "journal-entry":
-        img.journal.append(payload)
-    elif mech == "journal-retire":
-        if img.journal:
-            img.journal.pop()
-    elif mech == "completion-buffer":
-        ch, sn = payload
-        img.completion_buffers[ch] = sn
-    elif mech == "error-log":
-        ch, sns = payload
-        img.channel_error_sns.setdefault(ch, set()).update(sns)
-    elif mech == "SN-slot":
-        ino, index, sns = payload
-        log = img.logs.get(ino, ())
-        if index < len(log):
-            from dataclasses import replace
-            log[index] = replace(log[index], sns=tuple(sns))
-    elif mech == "alloc-ino":
-        img.next_ino = max(img.next_ino, payload + 1)
-    elif mech == "alloc-page":
-        img.next_page = max(img.next_page, payload)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown mechanism {rec.mech!r}")
-
-
-def _apply_partial(img: PMImage, rec: LineStore,
+def _apply_partial(img: PMImage, store: LineStore,
                    lines: Tuple[int, ...]) -> None:
     """Apply only ``lines`` of a multi-line store.
 
@@ -554,9 +482,9 @@ def _apply_partial(img: PMImage, rec: LineStore,
     currently holds (zeros if nothing); ``record`` stores become torn
     sentinels in place of the real entry.
     """
-    if rec.klass == "data":
-        pid = rec.obj[1]
-        payload = rec.payload
+    op, args = store.rec.op, store.rec.args
+    if op == "write_page":
+        pid, payload = args
         base = img.pages.get(pid)
         if not isinstance(base, (bytes, bytearray)) \
                 or len(base) != len(payload):
@@ -566,14 +494,14 @@ def _apply_partial(img: PMImage, rec: LineStore,
             out[i * CACHE_LINE:(i + 1) * CACHE_LINE] = \
                 payload[i * CACHE_LINE:(i + 1) * CACHE_LINE]
         img.pages[pid] = bytes(out)
-    elif rec.mech == "log-append":
-        ino, entry = rec.payload
+    elif op == "append_log":
+        ino, entry = args
         img.logs.setdefault(ino, []).append(
             TornEntry(of=type(entry).__name__, lines=len(lines),
-                      total=rec.nlines))
-    elif rec.mech == "journal-entry":
+                      total=store.nlines))
+    elif op == "journal_begin":
         img.journal.append(
-            TornRecord(of=type(rec.payload).__name__, lines=len(lines),
-                       total=rec.nlines))
+            TornRecord(of=type(args[0]).__name__, lines=len(lines),
+                       total=store.nlines))
     else:  # pragma: no cover - planner only tears data/record stores
-        raise ValueError(f"mechanism {rec.mech!r} cannot tear")
+        raise ValueError(f"mechanism {store.mech!r} cannot tear")

@@ -42,7 +42,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crash.linestream import FenceRec, LineStore, LineStream
+from repro.crash.linestream import (FenceRec, LineStore, LineStream,
+                                    _covered_at)
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -134,26 +135,17 @@ class CrashPlanner:
 
         durable_hash = 0      # order-free content hash of the durable set
         n_durable = 0
-        pending_cpu: List[LineStore] = []
-        pending_dma: Dict[int, List[LineStore]] = {}
-        cancelled = self.stream.cancelled
-        records = self.stream.records
-
-        def make_durable(recs: List[LineStore]) -> None:
-            nonlocal durable_hash, n_durable
-            for r in recs:
-                durable_hash = (durable_hash + _mix(r.seq)) & _MASK
-                n_durable += 1
-
-        def inflight() -> List[LineStore]:
-            out = list(pending_cpu)
-            for lst in pending_dma.values():
-                out.extend(lst)
-            out.sort(key=lambda r: r.seq)
-            return out
+        stream = self.stream
+        cov = _covered_at(stream)
+        cancelled = stream.cancelled
+        records = stream.records
+        # In-flight stores by seq, in issue order: each joins when it
+        # is issued and leaves at the fence ``cov[seq]`` names.
+        inflight: Dict[int, LineStore] = {}
+        leaves_at: Dict[int, List[int]] = {}
 
         def visit(point: int, context: str) -> None:
-            flight = inflight()
+            flight = list(inflight.values())
             self.positions += 1
             self.raw_states += _raw_states(flight)
             lo = bisect_right(self._ends, point)
@@ -177,26 +169,18 @@ class CrashPlanner:
         for idx, rec in enumerate(records):
             if isinstance(rec, FenceRec):
                 visit(idx, rec.label)
-                if rec.scope is None:
-                    make_durable(pending_cpu)
-                    pending_cpu.clear()
-                else:
-                    ch, covered = rec.scope
-                    lst = pending_dma.get(ch, [])
-                    done = [r for r in lst if r.dep[1] <= covered]
-                    pending_dma[ch] = [r for r in lst
-                                       if r.dep[1] > covered]
-                    make_durable(done)
-            else:
-                if rec.seq in cancelled:
-                    continue
+                for seq in leaves_at.pop(idx, ()):
+                    del inflight[seq]
+                    durable_hash = (durable_hash + _mix(seq)) & _MASK
+                    n_durable += 1
+            elif idx not in cancelled:
                 if rec.immediate:
                     visit(idx, f"pre:{rec.mech}")
-                    make_durable([rec])
-                elif rec.dep is None:
-                    pending_cpu.append(rec)
+                    durable_hash = (durable_hash + _mix(idx)) & _MASK
+                    n_durable += 1
                 else:
-                    pending_dma.setdefault(rec.dep[0], []).append(rec)
+                    inflight[idx] = rec
+                    leaves_at.setdefault(cov[idx], []).append(idx)
         visit(len(records), "end")
 
         chosen = self._sample(list(deduped.values()))

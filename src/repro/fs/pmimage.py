@@ -98,8 +98,12 @@ class PMImage:
     # Mutation methods -- every durable store goes through one of these.
     # ------------------------------------------------------------------
     def _record(self, op: str, *args: Any) -> None:
+        """Journal one store; a line stream journals the same record."""
         if self.recording:
-            self.mutations.append(MutationRecord(op, args))
+            rec = MutationRecord(op, args)
+            self.mutations.append(rec)
+            if self.linestream is not None:
+                self.linestream.emit(rec)
 
     def write_page(self, page_id: int, data: Any) -> None:
         """Persist one data page (bytes, or ELIDED for payload-less writes).
@@ -113,8 +117,6 @@ class PMImage:
             data = self.fault_plan.corrupt_page_write(page_id, data)
         self.pages[page_id] = data
         self._record("write_page", page_id, data)
-        if self.linestream is not None:
-            self.linestream.page_write(page_id, data)
 
     def write_pages(self, page_ids, contents) -> None:
         """Persist a train of pages: :meth:`write_page` for each, in order.
@@ -144,16 +146,12 @@ class PMImage:
         """Persist an inode record (create or in-place field update)."""
         self.inodes[ino] = inode
         self._record("put_inode", ino, inode)
-        if self.linestream is not None:
-            self.linestream.inode_put(ino, inode)
 
     def drop_inode(self, ino: int) -> None:
         self.inodes.pop(ino, None)
         self.logs.pop(ino, None)
         self.log_tails.pop(ino, None)
         self._record("drop_inode", ino)
-        if self.linestream is not None:
-            self.linestream.inode_drop(ino)
 
     def append_log(self, ino: int, entry: Any) -> int:
         """Write a log entry *past the committed tail* (not yet valid).
@@ -165,31 +163,23 @@ class PMImage:
         log = self.logs.setdefault(ino, [])
         log.append(entry)
         self._record("append_log", ino, entry)
-        if self.linestream is not None:
-            self.linestream.log_append(ino, entry)
         return len(log) - 1
 
     def commit_log_tail(self, ino: int, tail: int) -> None:
         """The atomic 8-byte tail update: NOVA's commit point."""
         self.log_tails[ino] = tail
         self._record("commit_log_tail", ino, tail)
-        if self.linestream is not None:
-            self.linestream.log_commit(ino, tail)
 
     def journal_begin(self, txn: Any) -> None:
         """Persist a journal record for a multi-inode transaction."""
         self.journal.append(txn)
         self._record("journal_begin", txn)
-        if self.linestream is not None:
-            self.linestream.journal_begin(txn)
 
     def journal_end(self) -> None:
         """Retire the journal record (transaction fully applied)."""
         if self.journal:
             self.journal.pop()
         self._record("journal_end")
-        if self.linestream is not None:
-            self.linestream.journal_retire()
 
     def update_completion_buffer(self, channel_id: int, sn: int) -> None:
         """The DMA engine persists a channel's completion buffer value.
@@ -199,8 +189,6 @@ class PMImage:
         """
         self.completion_buffers[channel_id] = sn
         self._record("update_completion_buffer", channel_id, sn)
-        if self.linestream is not None:
-            self.linestream.completion_update(channel_id, sn)
 
     def record_channel_errors(self, channel_id: int,
                               sns: Tuple[int, ...]) -> None:
@@ -214,8 +202,6 @@ class PMImage:
         """
         self.channel_error_sns.setdefault(channel_id, set()).update(sns)
         self._record("record_channel_errors", channel_id, tuple(sorted(sns)))
-        if self.linestream is not None:
-            self.linestream.error_log(channel_id, tuple(sorted(sns)))
 
     def amend_log_sns(self, ino: int, index: int,
                       sns: Tuple[Tuple[int, int], ...]) -> None:
@@ -230,8 +216,6 @@ class PMImage:
         entry = self.logs[ino][index]
         self.logs[ino][index] = replace(entry, sns=tuple(sns))
         self._record("amend_log_sns", ino, index, tuple(sns))
-        if self.linestream is not None:
-            self.linestream.sn_amend(ino, index, tuple(sns))
 
     # ------------------------------------------------------------------
     # Allocation counters (volatile in NOVA, rebuilt on recovery; we
@@ -241,16 +225,12 @@ class PMImage:
         ino = self.next_ino
         self.next_ino += 1
         self._record("alloc_ino", ino)
-        if self.linestream is not None:
-            self.linestream.alloc_ino(ino)
         return ino
 
     def alloc_page_ids(self, count: int) -> List[int]:
         ids = list(range(self.next_page, self.next_page + count))
         self.next_page += count
         self._record("alloc_page_ids", self.next_page)
-        if self.linestream is not None:
-            self.linestream.alloc_pages(self.next_page)
         return ids
 
     # ------------------------------------------------------------------
@@ -314,8 +294,12 @@ class PMImage:
         elif op == "record_channel_errors":
             self.channel_error_sns.setdefault(args[0], set()).update(args[1])
         elif op == "amend_log_sns":
-            entry = self.logs[args[0]][args[1]]
-            self.logs[args[0]][args[1]] = replace(entry, sns=tuple(args[2]))
+            # A line-model crash plan may have dropped the entry's
+            # append; the amend then has nothing to rewrite.
+            ino, index, sns = args
+            log = self.logs.get(ino, ())
+            if index < len(log):
+                log[index] = replace(log[index], sns=sns)
         elif op == "alloc_ino":
             self.next_ino = max(self.next_ino, args[0] + 1)
         elif op == "alloc_page_ids":

@@ -48,6 +48,7 @@ from repro.obs.coverage import (ack_gap_buckets, counter_buckets,
 from repro.runtime.admission import OverloadStats
 from repro.sim.engine import WaitTimeout
 from repro.workloads.factory import make_fs
+from repro.workloads.fxmark import settle
 
 from repro.fuzz.tuples import FAULT_TOLERANT_KINDS, ScenarioTuple
 
@@ -116,15 +117,6 @@ class ScenarioResult:
 def _payload(pseed: int, nbytes: int) -> bytes:
     """Deterministic per-op file content."""
     return random.Random(pseed).randbytes(nbytes)
-
-
-def _settle(fs, result):
-    """Wait out async I/O and the Naive ablation's deferred commit."""
-    if result.is_async:
-        yield result.pending
-    continuation = getattr(result, "continuation", None)
-    if continuation is not None:
-        yield from continuation(fs.context(record=False))
 
 
 #: Simulated-time cap: no legal scenario comes near it, so hitting it
@@ -216,15 +208,15 @@ def run_scenario(t: ScenarioTuple,
                 if kind == "write":
                     res = yield from fs.write(ctx, inos[f], a, b,
                                               _payload(pseed, b))
-                    yield from _settle(fs, res)
+                    yield from settle(fs, res)
                 elif kind == "append":
                     res = yield from fs.append(ctx, inos[f], b,
                                                _payload(pseed, b))
-                    yield from _settle(fs, res)
+                    yield from settle(fs, res)
                 elif kind == "read":
                     res = yield from fs.read(ctx, inos[f], a, b,
                                              want_data=True)
-                    yield from _settle(fs, res)
+                    yield from settle(fs, res)
                     reads.append((len(outcomes), bytes(res.value)))
                 else:  # truncate
                     yield from fs.truncate(ctx, inos[f], a)
@@ -345,11 +337,11 @@ def _differential(t, tracer, outcomes, op_ids, reads,
             if kind == "write":
                 res = yield from ref.write(ctx, ref_inos[f], a, b,
                                            _payload(pseed, b))
-                yield from _settle(ref, res)
+                yield from settle(ref, res)
             elif kind == "append":
                 res = yield from ref.append(ctx, ref_inos[f], b,
                                             _payload(pseed, b))
-                yield from _settle(ref, res)
+                yield from settle(ref, res)
             elif kind == "read":
                 res = yield from ref.read(ctx, ref_inos[f], a, b,
                                           want_data=True)

@@ -13,7 +13,7 @@ from repro.crash.linestream import (FenceRec, LineStream, base_durable,
 from repro.crash.plans import CrashPlan, CrashPlanner
 from repro.fs.structures import (FileKind, RenameTxn, TornEntry,
                                  TornRecord, WriteEntry)
-from tests.test_linestream import _synth_stream
+from tests.test_linestream import _emit, _synth_stream
 
 
 def _write_entry(pgoff=0, pages=(0, 1), sns=()):
@@ -58,7 +58,7 @@ class TestCandidates:
         partial."""
         stream = LineStream()
         stream.skipped_fences.add("commit")   # keep the commit in flight
-        stream.log_commit(1, 1)
+        _emit(stream, "commit_log_tail", 1, 1)
         planner, plans = _plans(stream, per_signature=None)
         classes = {p.cls for p in plans}
         # "solo" and "flushed" coincide for a single store, so dedup
@@ -69,7 +69,7 @@ class TestCandidates:
     def test_record_store_tears_to_prefix(self):
         stream = LineStream()
         stream.skipped_fences.add("append:WriteEntry")
-        stream.log_append(1, _write_entry())
+        _emit(stream, "append_log", 1, _write_entry())
         planner, plans = _plans(stream, per_signature=None)
         classes = {p.cls for p in plans}
         assert "torn:log-append" in classes
@@ -86,9 +86,9 @@ class TestCandidates:
     def test_journal_record_tears_to_torn_record(self):
         stream = LineStream()
         stream.skipped_fences.add("journal")
-        stream.journal_begin(RenameTxn(src_dir=0, src_name="a",
-                                       dst_dir=0, dst_name="b", ino=1,
-                                       kind=FileKind.FILE))
+        _emit(stream, "journal_begin",
+              RenameTxn(src_dir=0, src_name="a", dst_dir=0, dst_name="b",
+                        ino=1, kind=FileKind.FILE))
         planner, plans = _plans(stream, per_signature=None)
         torn = next(p for p in plans if p.cls == "torn:journal-entry")
         img = replay_plan(stream, torn)
@@ -96,7 +96,8 @@ class TestCandidates:
 
     def test_data_store_partial_shapes(self):
         stream = LineStream()
-        stream.page_write(0, bytes(range(256)) * 16)  # 4096B, 64 lines
+        # 4096B: 64 lines.
+        _emit(stream, "write_page", 0, bytes(range(256)) * 16)
         planner, plans = _plans(stream, per_signature=None)
         classes = {p.cls for p in plans}
         assert {"head:page-data", "prefix:page-data",
@@ -113,13 +114,13 @@ class TestCandidates:
         assert len(in_flight(stream, stream.position())) == 1
         stream.fence("pages")  # global sfence does NOT cover DMA
         assert len(in_flight(stream, stream.position())) == 1
-        stream.completion_update(0, 1)
+        _emit(stream, "update_completion_buffer", 0, 1)
         assert in_flight(stream, stream.position()) == []
 
     def test_cancelled_dma_store_never_applies(self):
         stream = LineStream()
         stream.announce_dma_pages(0, 1, [0], [b"x" * 4096])
-        stream.error_log(0, (1,))
+        _emit(stream, "record_channel_errors", 0, (1,))
         planner, plans = _plans(stream, per_signature=None)
         for p in plans:
             img = replay_plan(stream, p)
@@ -131,10 +132,11 @@ class TestDedupAndBounds:
         """Two identical fence epochs with identical op progress
         produce one plan set, not two."""
         stream = LineStream()
-        stream.log_commit(1, 1)
+        _emit(stream, "commit_log_tail", 1, 1)
         single = CrashPlanner(stream, op_bounds=[], per_signature=None)
         n_single = len(single.plans())
-        stream.log_commit(1, 1)   # byte-identical second epoch...
+        # A byte-identical second epoch...
+        _emit(stream, "commit_log_tail", 1, 1)
         planner, plans = _plans(stream, per_signature=None)
         # ...but a different durable prefix, so states differ; dedup
         # only collapses *equal* durable+applied states:
@@ -144,9 +146,9 @@ class TestDedupAndBounds:
 
     def test_lo_hi_from_ack_bounds(self):
         stream = LineStream()
-        stream.log_commit(1, 1)
+        _emit(stream, "commit_log_tail", 1, 1)
         mid = stream.position()
-        stream.log_commit(1, 2)
+        _emit(stream, "commit_log_tail", 1, 2)
         end = stream.position()
         planner, plans = _plans(stream, op_bounds=[(0, mid), (mid, end)],
                                 per_signature=None)
@@ -188,8 +190,8 @@ class TestDedupAndBounds:
     def test_raw_states_count(self):
         stream = LineStream()
         stream.skipped_fences.add("pages")
-        stream.page_write(0, b"x" * 4096)      # 64 lines -> 2^64
-        stream.page_write(1, b"y" * 128)       # 2 lines  -> 2^2
+        _emit(stream, "write_page", 0, b"x" * 4096)  # 64 lines -> 2^64
+        _emit(stream, "write_page", 1, b"y" * 128)   # 2 lines  -> 2^2
         stream.fence("end")                    # one interesting position
         planner, plans = _plans(stream, per_signature=None)
         # end-of-stream visit sees the same in-flight set again (the
@@ -205,10 +207,10 @@ class TestSampling:
         bounds = []
         for i in range(n):
             start = stream.position()
-            stream.page_write(i, bytes([i]) * 4096)
+            _emit(stream, "write_page", i, bytes([i]) * 4096)
             stream.pages_fence()
-            stream.log_append(1, _write_entry(pages=(i,)))
-            stream.log_commit(1, i + 1)
+            _emit(stream, "append_log", 1, _write_entry(pages=(i,)))
+            _emit(stream, "commit_log_tail", 1, i + 1)
             bounds.append((start, stream.position()))
         return stream, bounds
 

@@ -92,7 +92,7 @@ class TestWritePages:
 
         def records(img):
             return [(type(r).__name__, r.seq, getattr(r, "mech", None),
-                     getattr(r, "obj", None), getattr(r, "payload", None),
+                     getattr(r, "rec", None), getattr(r, "nlines", None),
                      getattr(r, "dep", None), getattr(r, "label", None))
                     for r in img.linestream.records]
         assert records(bulk) == records(looped)
@@ -157,6 +157,20 @@ class TestReplay:
         img = PMImage()
         with pytest.raises(ValueError):
             img.apply(MutationRecord("nonsense", ()))
+
+    def test_amend_without_its_entry_is_skipped(self):
+        """A line-model crash plan can land an SN amend but drop the
+        append of the entry it rewrites: the amend rewrites nothing."""
+        amend = MutationRecord("amend_log_sns", (1, 1, ((0, 7),)))
+        img = PMImage()
+        img.apply(amend)
+        assert img.logs == {}
+        img.apply(MutationRecord("append_log", (1, WriteEntry(
+            pgoff=0, page_ids=(3,), size_after=4096, mtime=1, sns=()))))
+        img.apply(amend)
+        assert [e.sns for e in img.logs[1]] == [()]
+        img.apply(MutationRecord("amend_log_sns", (1, 0, ((0, 7),))))
+        assert [e.sns for e in img.logs[1]] == [((0, 7),)]
 
     def test_append_log_not_valid_until_tail_commit(self):
         """NOVA's two-step append+commit: the appended entry is not part

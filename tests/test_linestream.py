@@ -3,18 +3,22 @@
 Pins the model-level invariants of the line stream:
 
 * exact 64B tiling of data stores (a multi-page orderless write
-  decomposes into per-page line stores whose slices partition the
-  payload);
+  decomposes into per-page line stores whose lines, replayed one at a
+  time, rebuild the page);
 * fence epochs correspond to the trace events of the same run (every
   commit fence has its ``write_commit``, every pages fence its
   ``pages_persist``);
 * the everything-landed replay equals the mutation-journal replay
   (the equivalence tying the line model to the page model);
 * the recording guards (record=True, before-first-mutation);
+* the mechanism catalog: every op a recorded Table 2 workload journals
+  has a ``MECHANISMS`` row, and every row replays through
+  ``PMImage.apply``;
 * ``base_durable``/``in_flight``/``replay_plan`` agree with a
   record-by-record fence walk (the oracle below) on seeded synthetic
-  streams, including a stream that grows and cancellations that
-  arrive after the durability view was built;
+  streams that emit every mechanism, including a stream that grows,
+  cancellations that arrive after the durability view was built, and
+  SN amends whose entry the plan dropped;
 * checkpointed replay stays exact when plans arrive out of order, when
   a cancellation lands behind the checkpoint, and when the stream
   grows past it; the page sweep's forward cursor equals the prefix
@@ -31,6 +35,7 @@ from repro.crash import linestream as ls
 from repro.crash.crashmonkey import CRASH_WORKLOADS, _record_workload
 from repro.crash.linestream import (
     CACHE_LINE,
+    MECHANISMS,
     FenceRec,
     LineStream,
     LineStore,
@@ -40,7 +45,12 @@ from repro.crash.linestream import (
     replay_plan,
 )
 from repro.faults import ChannelHaltFault, FaultPlan
-from repro.fs.pmimage import PMImage
+from repro.fs.pmimage import MutationRecord, PMImage
+from repro.fs.structures import WriteEntry
+
+
+def _emit(stream, op, *args):
+    stream.emit(MutationRecord(op, args))
 
 
 def _line_stores(stream, mech):
@@ -61,8 +71,8 @@ def _record(kind, workload="generic_056", iterations=4, **kw):
 class TestTiling:
     def test_multi_page_write_tiles_exactly(self):
         """A 12288B (3-page) write decomposes into three page-data
-        stores of exactly 64 cache lines each, slices partitioning
-        the payload."""
+        stores of exactly 64 cache lines each, and replaying every
+        line, one at a time, rebuilds each page's bytes."""
         image, _ = _record("easyio", "create_delete", iterations=2)
         stream = image.linestream
         stores = _line_stores(stream, "page-data")
@@ -74,17 +84,17 @@ class TestTiling:
                   for s, e in stream.op_bounds]
         assert max(counts) >= 3
         for s in stores:
-            assert s.nlines == (len(s.payload) + CACHE_LINE - 1) // CACHE_LINE
-            slices = s.line_slices()
-            assert [i for i, _b in slices] == list(range(s.nlines))
-            assert b"".join(b for _i, b in slices) == s.payload
-            for i, b in slices[:-1]:
-                assert len(b) == CACHE_LINE
+            pid, payload = s.rec.args
+            assert s.nlines == (len(payload) + CACHE_LINE - 1) // CACHE_LINE
+            img = PMImage()
+            for i in range(s.nlines):
+                ls._apply_partial(img, s, (i,))
+            assert img.pages[pid] == payload
 
     def test_page_stores_are_64_lines_per_4k_page(self):
         image, _ = _record("nova", "generic_056", iterations=3)
         per_page = [s for s in _line_stores(image.linestream, "page-data")
-                    if len(s.payload) == 4096]
+                    if len(s.rec.args[1]) == 4096]
         assert per_page
         assert all(s.nlines == 64 for s in per_page)
 
@@ -182,9 +192,59 @@ class TestGuards:
     def test_skipped_fence_knob_counts(self):
         stream = LineStream()
         stream.skipped_fences.add("commit")
-        stream.log_commit(1, 1)
+        _emit(stream, "commit_log_tail", 1, 1)
         assert stream.fences_skipped == 1
         assert not _fences(stream, "commit")
+
+
+class TestCatalog:
+    @staticmethod
+    def _halt_all_channels():
+        return FaultPlan(schedule=[ChannelHaltFault(ch, 1)
+                                   for ch in range(8)])
+
+    def test_table2_workloads_record_only_cataloged_ops(self):
+        seen = set()
+        for workload in CRASH_WORKLOADS:
+            for kind, plan in (("easyio", self._halt_all_channels),
+                               ("nova", None)):
+                image, _ = _record(kind, workload, iterations=3,
+                                   fault_plan=plan)
+                ops = {m.op for m in image.mutations}
+                assert ops <= set(MECHANISMS), (kind, workload)
+                assert {r.rec.op for r in image.linestream.records
+                        if isinstance(r, LineStore)} <= ops
+                seen |= ops
+        # The halts drive failover: error logs and SN amends appear.
+        assert {"record_channel_errors", "amend_log_sns"} <= seen
+
+    def test_apply_accepts_every_cataloged_op(self):
+        """Each PMImage mutation method journals its cataloged op once,
+        into the mutation journal and the line stream alike, and the
+        line replay (``PMImage.apply`` per store) rebuilds the image."""
+        img = PMImage(record=True)
+        stream = img.enable_line_recording()
+        ino, gone = img.alloc_ino(), img.alloc_ino()
+        img.put_inode(ino, ("inode", ino))
+        img.put_inode(gone, ("inode", gone))
+        pid, = img.alloc_page_ids(1)
+        img.write_page(pid, b"p" * 100)
+        img.pages_fence()
+        img.append_log(ino, _sn_entry(pid))
+        img.commit_log_tail(ino, 1)
+        img.amend_log_sns(ino, 0, ((1, 2),))
+        img.journal_begin(("txn", ino))
+        img.journal_end()
+        img.journal_begin(("txn", gone))
+        img.update_completion_buffer(0, 5)
+        img.record_channel_errors(0, {3})
+        img.drop_inode(gone)
+        assert {m.op for m in img.mutations} == set(MECHANISMS)
+        assert [r.rec for r in stream.records
+                if isinstance(r, LineStore)] == img.mutations
+        assert _img_state(replay_full(stream)) == _img_state(img) \
+            == _img_state(img.replay(len(img.mutations)))
+        assert img.logs[ino][0].sns == ((1, 2),)
 
 
 # ----------------------------------------------------------------------
@@ -240,38 +300,50 @@ def _replay_plan_ref(stream: LineStream, plan) -> PMImage:
         if lines is not None:
             ls._apply_partial(img, rec, lines)
         elif rec.seq in apply_full:
-            ls._apply_store(img, rec)
+            img.apply(rec.rec)
     return img
+
+
+#: Inode numbers of the synthetic streams' amendable logs (above every
+#: ``op`` inode, so ``drop_inode`` never removes them).
+AMEND_INO = 1000
+
+
+def _sn_entry(pid: int) -> WriteEntry:
+    return WriteEntry(pgoff=0, page_ids=(pid,), size_after=4096, mtime=1,
+                      sns=((0, 0),))
 
 
 def _synth_stream(rng: random.Random) -> LineStream:
     """A randomized but well-formed line stream: CPU trains, DMA
     announcements with completions/cancellations, records, atomics,
-    bookkeeping -- the shapes the real emitters produce."""
+    inode puts/drops, SN amends, bookkeeping -- the shapes the real
+    emitters produce."""
     stream = LineStream()
     sn = {0: 0, 1: 0}
     outstanding = []            # (ch, sn) announced, not yet resolved
+    amendable: Dict[int, int] = {}     # ino -> one-line entries appended
     pid = 0
     n_ops = rng.randint(0, 40)
     start = 0
     for op in range(n_ops):
         for _ in range(rng.randint(1, 5)):
-            kind = rng.randrange(8)
+            kind = rng.randrange(11)
             if kind == 0:                      # CPU page train + fence
                 for _ in range(rng.randint(1, 3)):
                     pid += 1
-                    stream.page_write(
-                        pid, bytes([rng.randrange(256)]) * rng.choice(
-                            [1, 64, 200, 4096]))
+                    _emit(stream, "write_page", pid,
+                          bytes([rng.randrange(256)]) * rng.choice(
+                              [1, 64, 200, 4096]))
                 stream.pages_fence()
             elif kind == 1:                    # log append (record)
-                stream.store("log-append", ("log", op),
-                             (op, f"entry-{op}-{pid}"),
-                             nlines=rng.randint(1, 4))
+                stream.store(MutationRecord(
+                    "append_log", (op, f"entry-{op}-{pid}")),
+                    nlines=rng.randint(1, 4))
                 if rng.random() < 0.8:
                     stream.fence("append:str")
             elif kind == 2:                    # atomic tail commit
-                stream.log_commit(op, rng.randrange(1000))
+                _emit(stream, "commit_log_tail", op, rng.randrange(1000))
             elif kind == 3:                    # DMA announcement
                 ch = rng.randrange(2)
                 sn[ch] += 1
@@ -283,21 +355,57 @@ def _synth_stream(rng: random.Random) -> LineStream:
                 outstanding.append((ch, sn[ch]))
             elif kind == 4 and outstanding:    # completion fence
                 ch, s = outstanding.pop(rng.randrange(len(outstanding)))
-                stream.completion_update(ch, s)
+                _emit(stream, "update_completion_buffer", ch, s)
             elif kind == 5 and outstanding:    # failed descriptor
                 ch, s = outstanding.pop(rng.randrange(len(outstanding)))
-                stream.error_log(ch, (s,))
+                _emit(stream, "record_channel_errors", ch, (s,))
             elif kind == 6:                    # journal txn
-                stream.journal_begin(("txn", op))
+                _emit(stream, "journal_begin", ("txn", op))
                 if rng.random() < 0.5:
-                    stream.journal_retire()
+                    _emit(stream, "journal_end")
+            elif kind == 8:                    # inode record put
+                _emit(stream, "put_inode", op, ("inode", op, pid))
+            elif kind == 9:                    # inode drop
+                _emit(stream, "drop_inode", rng.randrange(op + 1))
+            elif kind == 10:                   # SN amend (failover)
+                # One-line entries on their own inodes, never dropped:
+                # an amend rewrites a real entry or, when the plan
+                # dropped that entry's still-unfenced append, nothing.
+                ino = AMEND_INO + op
+                if not amendable.get(ino) or rng.random() < 0.7:
+                    stream.store(MutationRecord(
+                        "append_log", (ino, _sn_entry(pid))))
+                    amendable[ino] = amendable.get(ino, 0) + 1
+                    if rng.random() < 0.5:
+                        stream.fence("append:WriteEntry")
+                _emit(stream, "amend_log_sns", ino,
+                      rng.randrange(amendable[ino]),
+                      ((rng.randrange(2), rng.randrange(1, 9)),))
             else:                              # bookkeeping
-                stream.alloc_ino(op + 1)
-                stream.alloc_pages(pid + 1)
+                _emit(stream, "alloc_ino", op + 1)
+                _emit(stream, "alloc_page_ids", pid + 1)
         end = stream.position()
         stream.op_bounds.append((start, end))
         start = end
     return stream
+
+
+def _lands_amend_without_entry(stream: LineStream, plan) -> bool:
+    """Whether ``plan`` lands an in-flight SN amend but drops the
+    append of the entry it rewrites (the amend then rewrites nothing)."""
+    records = stream.records
+    durable = _base_durable_ref(stream, plan.point)
+    for seq in plan.applied:
+        rec = records[seq].rec
+        if rec.op != "amend_log_sns":
+            continue
+        ino, index, _sns = rec.args
+        appends = [r.seq for r in records[:seq]
+                   if isinstance(r, LineStore) and r.rec.op == "append_log"
+                   and r.rec.args[0] == ino]
+        if appends[index] not in durable | plan.applied:
+            return True
+    return False
 
 
 def _img_state(img):
@@ -325,11 +433,18 @@ def _random_plan(rng: random.Random, stream: LineStream, pt: int):
 class TestDurabilityAgainstOracle:
     def test_durability_and_replay_on_seeded_streams(self):
         rng = random.Random(0xBEEF)
+        mechs = set()
+        lost_amends = 0
         for trial in range(25):
             stream = _synth_stream(rng)
+            mechs.update(r.mech for r in stream.records
+                         if isinstance(r, LineStore))
             n = len(stream.records)
+            # Every amend fence too: the one position at which an SN
+            # amend and the append it rewrites can both be in flight.
             points = sorted({0, 1 if n else 0, n}
-                            | {rng.randrange(n + 1) for _ in range(10)})
+                            | {rng.randrange(n + 1) for _ in range(10)}
+                            | {f.seq for f in _fences(stream, "amend")})
             for pt in points:
                 assert base_durable(stream, pt) \
                     == _base_durable_ref(stream, pt), (trial, pt)
@@ -341,6 +456,9 @@ class TestDurabilityAgainstOracle:
                 assert _img_state(replay_plan(stream, plan)) \
                     == _img_state(_replay_plan_ref(stream, plan)), \
                     (trial, pt)
+                lost_amends += _lands_amend_without_entry(stream, plan)
+        assert mechs == {mech for mech, _k, _l in MECHANISMS.values()}
+        assert lost_amends > 0
 
     def test_replay_full_matches_oracle(self):
         rng = random.Random(7)
@@ -363,10 +481,10 @@ class TestDurabilityAgainstOracle:
 
     def test_durability_view_follows_stream_growth(self):
         stream = LineStream()
-        stream.page_write(1, b"x" * 64)
+        _emit(stream, "write_page", 1, b"x" * 64)
         stream.pages_fence()
         assert base_durable(stream, stream.position()) == {0}
-        stream.page_write(2, b"y" * 64)
+        _emit(stream, "write_page", 2, b"y" * 64)
         assert in_flight(stream, stream.position())[0].seq == 2
         stream.pages_fence()
         assert base_durable(stream, stream.position()) == {0, 2}
@@ -378,7 +496,7 @@ class TestDurabilityAgainstOracle:
         stream = LineStream()
         stream.announce_dma_pages(0, 1, [1], [b"a" * 4096])
         stream.announce_dma_pages(0, 2, [2], [b"b" * 4096])
-        stream.completion_update(0, 1)
+        _emit(stream, "update_completion_buffer", 0, 1)
         pt = stream.position()
         assert base_durable(stream, pt) == _base_durable_ref(stream, pt)
         assert [r.seq for r in in_flight(stream, pt)] == [1]
@@ -453,11 +571,11 @@ class TestCheckpointedReplay:
             # Grow: fence the pending CPU stores and complete every
             # announced SN, so stores in flight at the old end (and
             # behind the old checkpoint's reach) become durable.
-            stream.page_write(10_000 + trial, b"g" * 128)
+            _emit(stream, "write_page", 10_000 + trial, b"g" * 128)
             stream.pages_fence()
             for ch, sn in sorted(stream._by_dep):
-                stream.completion_update(ch, sn)
-            stream.log_commit(99, trial)
+                _emit(stream, "update_completion_buffer", ch, sn)
+            _emit(stream, "commit_log_tail", 99, trial)
             m = stream.position()
             _assert_replays_match(
                 stream, [_random_plan(rng, stream, p)
@@ -470,8 +588,8 @@ class TestCheckpointedReplay:
         # store listed in ``applied`` must still land.
         stream = LineStream()
         stream.announce_dma_pages(0, 1, [1], [b"a" * 4096])
-        stream.completion_update(0, 1)
-        stream.page_write(2, b"b" * 64)
+        _emit(stream, "update_completion_buffer", 0, 1)
+        _emit(stream, "write_page", 2, b"b" * 64)
         stream.pages_fence()
         stream.cancel_sns(0, [1])
         end = stream.position()
