@@ -37,6 +37,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.crash.plans import check_sampler_bounds
 from repro.faults.plan import (BandwidthFault, ChannelHaltFault, FaultPlan,
                                TransferErrorFault)
 from repro.fs.structures import PAGE_SIZE
@@ -280,10 +281,7 @@ class CrashSpec:
     budget: Optional[int] = 48
 
     def validate(self) -> None:
-        if self.per_signature is not None and self.per_signature < 1:
-            raise ValueError("per_signature must be >= 1 or None")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1 or None")
+        check_sampler_bounds(self.per_signature, self.budget)
 
     def size(self) -> int:
         return 1 if self.enabled else 0

@@ -166,6 +166,9 @@ class ReplicaNode:
         self.cfg = cluster.cfg
         self.engine = cluster.engine
         self.node_id = node_id
+        #: The other members; cluster membership is fixed.
+        self.peers: Tuple[int, ...] = tuple(n for n in cluster.node_ids
+                                            if n != node_id)
         self.stats = cluster.stats
         self.endpoint = cluster.network.register(node_id)
         # -- durable state (survives crash) --
@@ -212,10 +215,6 @@ class ReplicaNode:
 
     def _epoch_at(self, sn: int) -> int:
         return self.log[sn - 1].epoch if sn >= 1 else 0
-
-    @property
-    def peers(self) -> Tuple[int, ...]:
-        return tuple(n for n in self.cluster.node_ids if n != self.node_id)
 
     def _trace_point(self, name: str, **args) -> None:
         tr = self.engine.tracer

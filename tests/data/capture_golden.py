@@ -14,10 +14,12 @@ fixed seeds, so any drift means the refactor changed behaviour).
 ``tests/data/work_counts.json`` pins how much work those runs do:
 engine events, pool transfers, DMA descriptors and filesystem ops per
 golden point, plus the plan and line-record counts of one line crash
+sweep, and the full plan list (as a digest) of each Table 2 line
 sweep.  A change may move these on purpose (a perf change that drops
 events, say); recapture them then and say why in the change.
 """
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -38,6 +40,10 @@ FIG08_KINDS = ("nova", "nova-dma", "odinfs", "easyio", "naive")
 FIG08_SIZES = (4096, 65536)
 FIG09_KINDS = ("nova", "nova-dma", "odinfs", "easyio")
 FIG09_WORKERS = (1, 4)
+CRASH_LINE_SWEEPS = tuple(f"{kind}/{workload}"
+                          for kind in ("easyio", "nova")
+                          for workload in ("create_delete", "generic_056",
+                                           "generic_090", "generic_322"))
 
 
 def fig02():
@@ -134,13 +140,41 @@ def crash_line_counts():
             "raw_states": report.raw_states}
 
 
+def plan_digest(plans):
+    """SHA-1 over the ordered plan list, every field included."""
+    h = hashlib.sha1()
+    for p in plans:
+        h.update(repr((p.point, p.cls, sorted(p.applied), p.partials,
+                       p.lo, p.hi, p.signature)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def crash_line_plan_list(sweep):
+    """What the planner of one ``kind/workload`` line sweep
+    (``per_signature=3``, ``plan_seed=0``) chose: its plan count and
+    plan-list digest, positions, raw states and per-class counts."""
+    kind, workload = sweep.split("/")
+    with capturing(crashmonkey, "CrashPlanner") as planners:
+        crashmonkey.run_crash_test(kind, workload, granularity="line",
+                                   per_signature=3, plan_seed=0)
+    (planner,) = planners
+    plans = planner.plans()
+    return {"plans": len(plans), "sha1": plan_digest(plans),
+            "positions": planner.positions,
+            "raw_states": planner.raw_states,
+            "plan_classes": planner.plan_classes}
+
+
 def capture():
     """``(golden summaries, work counts)`` of the fixed-seed runs."""
     fig08_out, fig08_counts = counted(fig08)
     fig09_out, fig09_counts = counted(fig09)
     golden = {"fig02": fig02(), "fig08": fig08_out, "fig09": fig09_out}
     counts = {"fig08": fig08_counts, "fig09": fig09_counts,
-              "crash_line": crash_line_counts()}
+              "crash_line": crash_line_counts(),
+              "crash_line_plans": {sweep: crash_line_plan_list(sweep)
+                                   for sweep in CRASH_LINE_SWEEPS}}
     return golden, counts
 
 

@@ -2,17 +2,22 @@
 
 Unit tests on hand-built line streams: candidate classes per
 mechanism, deduplication across positions, legality bounds from op
-acks, the raw-state accounting, and seeded determinism of sampling.
+acks, the raw-state accounting, seeded determinism of sampling, the
+sampler's bounds, and that only the sampled plans are ever built.
 """
 
 import random
 from bisect import bisect_right
 
+import pytest
+
+from repro.crash import run_crash_test
 from repro.crash.linestream import (FenceRec, LineStream, base_durable,
                                     in_flight, replay_plan)
 from repro.crash.plans import CrashPlan, CrashPlanner
 from repro.fs.structures import (FileKind, RenameTxn, TornEntry,
                                  TornRecord, WriteEntry)
+from repro.fuzz.tuples import CrashSpec
 from tests.test_linestream import _emit, _synth_stream
 
 
@@ -45,6 +50,40 @@ def _candidate_states(flight):
                           tuple(i for i in range(n) if i != n // 2)):
                 states.add((rest, ((r.seq, lines),)))
     return states
+
+
+def _distinct_states(stream):
+    """Every distinct ``(durable+applied, partials, lo, hi)`` crash
+    state the class catalog reaches on ``stream``, enumerated
+    independently of the planner."""
+    records = stream.records
+    ends = [e for _s, e in stream.op_bounds]
+    starts = [s for s, _e in stream.op_bounds]
+    points = [i for i, r in enumerate(records)
+              if isinstance(r, FenceRec)
+              or (r.immediate and i not in stream.cancelled)]
+    states = set()
+    for pt in points + [len(records)]:
+        durable = base_durable(stream, pt)
+        for applied, partials in _candidate_states(in_flight(stream, pt)):
+            states.add((frozenset(durable | applied), partials,
+                        bisect_right(ends, pt), bisect_right(starts, pt)))
+    return states
+
+
+def _count_builds(monkeypatch):
+    """Swap the planner's :class:`CrashPlan` for a subclass that logs
+    each construction's class; return the log."""
+    from repro.crash import plans as plans_mod
+    built = []
+
+    class Counted(CrashPlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.cls)
+
+    monkeypatch.setattr(plans_mod, "CrashPlan", Counted)
+    return built
 
 
 def _plans(stream, op_bounds=(), **kw):
@@ -158,34 +197,23 @@ class TestDedupAndBounds:
         first = [p for p in plans if p.point < mid]
         assert all(p.lo == 0 and p.hi == 1 for p in first)
 
-    def test_exhaustive_mode_keeps_every_distinct_state(self):
+    def test_exhaustive_mode_keeps_every_distinct_state(self, monkeypatch):
         """One plan per distinct (durable+applied, partials, lo, hi)
-        state: no duplicates, and no real state merged into another by
-        a dedup-hash collision (a linear per-seq mix made sets with
-        equal size and equal seq sum, e.g. {68, 71} and {69, 70},
-        collide)."""
+        state, each built once: no duplicates, and no real state merged
+        into another by a dedup-hash collision (a linear per-seq mix
+        made sets with equal size and equal seq sum, e.g. {68, 71} and
+        {69, 70}, collide)."""
+        built = _count_builds(monkeypatch)
         rng = random.Random(1)
         for trial in range(80):
             stream = _synth_stream(rng)
-            records = stream.records
-            ends = [e for _s, e in stream.op_bounds]
-            starts = [s for s, _e in stream.op_bounds]
-            points = [i for i, r in enumerate(records)
-                      if isinstance(r, FenceRec)
-                      or (r.immediate and i not in stream.cancelled)]
-            expected = set()
-            for pt in points + [len(records)]:
-                durable = base_durable(stream, pt)
-                for applied, partials in _candidate_states(
-                        in_flight(stream, pt)):
-                    expected.add((frozenset(durable | applied), partials,
-                                  bisect_right(ends, pt),
-                                  bisect_right(starts, pt)))
+            built.clear()
             plans = CrashPlanner(stream, per_signature=None).plans()
+            assert len(built) == len(plans), trial
             got = [(frozenset(base_durable(stream, p.point) | p.applied),
                     p.partials, p.lo, p.hi) for p in plans]
             assert len(got) == len(set(got)), trial
-            assert set(got) == expected, trial
+            assert set(got) == _distinct_states(stream), trial
 
     def test_raw_states_count(self):
         stream = LineStream()
@@ -337,7 +365,7 @@ class TestBudgetTrim:
                                    per_signature=rng.choice([None, 1, 2,
                                                              3, 4]),
                                    budget=rng.choice(
-                                       [None, 0, 1, len(sizes),
+                                       [None, 1, 2, len(sizes),
                                         rng.randint(1, len(plans))]),
                                    seed=rng.randrange(1 << 30))
             made.clear()
@@ -352,6 +380,50 @@ class TestBudgetTrim:
                 budgets_hit += any(d[0] == "randrange"
                                    for d in got_rng.draws)
         assert budgets_hit > 20
+
+
+class TestOnlyKeptPlansAreBuilt:
+    """Dedup and sampling run before any :class:`CrashPlan` exists:
+    the planner builds exactly the plans it returns (exhaustive mode:
+    ``TestDedupAndBounds``)."""
+
+    def test_sampled_mode_builds_only_kept_plans(self, monkeypatch):
+        built = _count_builds(monkeypatch)
+        rng = random.Random(3)
+        sampled_away = 0
+        for trial in range(40):
+            stream = _synth_stream(rng)
+            n_distinct = len(_distinct_states(stream))
+            built.clear()
+            plans = CrashPlanner(stream, per_signature=1, budget=8,
+                                 seed=trial).plans()
+            assert len(built) == len(plans), trial
+            assert built == [p.cls for p in plans], trial
+            sampled_away += n_distinct - len(plans)
+        assert sampled_away > 0
+
+
+class TestSamplerBounds:
+    @pytest.mark.parametrize("bounds", [{"per_signature": 0},
+                                        {"per_signature": -1},
+                                        {"budget": 0}, {"budget": -2}])
+    def test_bound_below_one_rejected(self, bounds):
+        name = next(iter(bounds))
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            CrashPlanner(LineStream(), **bounds)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            CrashSpec(**bounds).validate()
+
+    def test_unbounded_and_one_accepted(self):
+        for per_signature, budget in ((None, None), (1, 1), (3, None)):
+            CrashPlanner(LineStream(), per_signature=per_signature,
+                         budget=budget).plans()
+            CrashSpec(per_signature=per_signature, budget=budget).validate()
+
+    def test_line_sweep_rejects_zero_per_signature(self):
+        with pytest.raises(ValueError, match="per_signature must be >= 1"):
+            run_crash_test("easyio", "create_delete", granularity="line",
+                           per_signature=0)
 
 
 class TestPlanValue:

@@ -5,7 +5,10 @@ counters the simulator already keeps -- engine events, cancellations,
 compactions and pooled-sleep reuses; each bandwidth pool's transfers
 and bytes; completed DMA descriptors; filesystem ops -- and, for one
 line crash sweep, its plans (all of which must pass), line records and
-raw states.
+raw states.  For each of the eight Table 2 line sweeps it also pins
+what the crash planner chose: the plan count and a digest of the
+ordered plan list, the positions visited, the raw states and the
+per-class counts.
 
 The goldens pin *what* a run computes; these pin *how much work* it
 does to get there.  Both are host-independent, so the gate is exact: a
@@ -22,7 +25,9 @@ import os
 import pytest
 
 from tests.conftest import assert_exact
-from tests.data.capture_golden import crash_line_counts
+from tests.data.capture_golden import (CRASH_LINE_SWEEPS,
+                                      crash_line_counts,
+                                      crash_line_plan_list)
 
 COUNTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "data", "work_counts.json")
@@ -46,3 +51,9 @@ def test_fig09_work_counts_exact(pinned, fig09_counted):
 
 def test_crash_line_work_counts_exact(pinned):
     assert_exact(crash_line_counts(), pinned["crash_line"], "crash_line")
+
+
+@pytest.mark.parametrize("sweep", CRASH_LINE_SWEEPS)
+def test_crash_line_plan_list_exact(pinned, sweep):
+    assert_exact(crash_line_plan_list(sweep),
+                 pinned["crash_line_plans"][sweep], sweep)
