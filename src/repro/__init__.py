@@ -38,7 +38,7 @@ from repro.hw import CostModel, Platform, PlatformConfig
 from repro.obs import TraceChecker, Tracer, default_tracing
 from repro.runtime import Compute, Runtime, Sleep, Syscall, Yield
 from repro.workloads.factory import (FS_KINDS, FS_LABELS, fs_class, make_fs,
-                                     make_platform, register_fs)
+                                     make_platform)
 
 __version__ = "1.0.0"
 
@@ -71,5 +71,4 @@ __all__ = [
     "make_fs",
     "make_platform",
     "recover",
-    "register_fs",
 ]

@@ -204,8 +204,3 @@ class Timeline:
             b = t // bucket_ns
             buckets[b] = max(buckets.get(b, 0.0), v)
         return [(b * bucket_ns, v) for b, v in sorted(buckets.items())]
-
-
-def speedup(new: float, base: float) -> float:
-    """`new` over `base`, guarding division by zero."""
-    return new / base if base else math.inf

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.workloads.fxmark import FxmarkConfig, FxmarkResult
@@ -58,24 +59,31 @@ def fxmark_point(cfg: "FxmarkConfig") -> dict:
     return summarize(run_fxmark(cfg))
 
 
-def run_sweep(configs: Sequence["FxmarkConfig"],
-              processes: Optional[int] = None) -> List[dict]:
-    """Run every config, in input order, and return their summaries.
+def _pool_map(fn: Callable[..., dict], items: Iterable,
+              processes: Optional[int]) -> List[dict]:
+    """``[fn(x) for x in items]``, in input order, over a worker pool.
 
     ``processes=None`` uses one worker per host CPU; ``processes<=1``
-    (or a single point) runs serially in this process -- same results
+    (or a single item) runs serially in this process -- same results
     either way, the pool only changes wall-clock time.
     """
-    configs = list(configs)
+    items = list(items)
     if processes is None:
         processes = os.cpu_count() or 1
-    if processes <= 1 or len(configs) <= 1:
-        return [fxmark_point(cfg) for cfg in configs]
+    if processes <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     # fork (the Linux default) skips re-importing the simulator in
-    # every worker; chunksize=1 keeps long points from queueing behind
+    # every worker; chunksize=1 keeps long items from queueing behind
     # one worker while others sit idle.
-    with multiprocessing.Pool(min(processes, len(configs))) as pool:
-        return pool.map(fxmark_point, configs, chunksize=1)
+    with multiprocessing.Pool(min(processes, len(items))) as pool:
+        return pool.map(fn, items, chunksize=1)
+
+
+def run_sweep(configs: Sequence["FxmarkConfig"],
+              processes: Optional[int] = None) -> List[dict]:
+    """Run every config, in input order, and return their summaries
+    (see :func:`_pool_map` for ``processes``)."""
+    return _pool_map(fxmark_point, configs, processes)
 
 
 def fxmark_sweep(kinds: Iterable[str], workers: Iterable[int],
@@ -129,37 +137,7 @@ def run_crash_sweep(specs: Sequence[dict],
     Same contract as :func:`run_sweep`: ``processes<=1`` or a single
     spec runs serially, and the summaries are identical either way.
     """
-    specs = list(specs)
-    if processes is None:
-        processes = os.cpu_count() or 1
-    if processes <= 1 or len(specs) <= 1:
-        return [crash_point(spec) for spec in specs]
-    with multiprocessing.Pool(min(processes, len(specs))) as pool:
-        return pool.map(crash_point, specs, chunksize=1)
-
-
-def table2_crash_sweep(kinds: Iterable[str],
-                       workloads: Iterable[str],
-                       granularities: Iterable[str] = ("page", "line"),
-                       crash_points: int = 1000,
-                       per_signature: Optional[int] = 3,
-                       processes: Optional[int] = None) -> Dict[str, dict]:
-    """The Table 2 grid at both granularities:
-    ``{granularity}/{kind}/{workload}`` -> crash summary."""
-    kinds, workloads = list(kinds), list(workloads)
-    grans = list(granularities)
-    specs, keys = [], []
-    for gran in grans:
-        for kind in kinds:
-            for wl in workloads:
-                spec = {"kind": kind, "workload": wl, "granularity": gran}
-                if gran == "page":
-                    spec["crash_points"] = crash_points
-                else:
-                    spec["per_signature"] = per_signature
-                specs.append(spec)
-                keys.append(f"{gran}/{kind}/{wl}")
-    return dict(zip(keys, run_crash_sweep(specs, processes=processes)))
+    return _pool_map(crash_point, specs, processes)
 
 
 # -- fuzz campaigns ----------------------------------------------------
@@ -187,10 +165,4 @@ def run_fuzz_batch(specs: Sequence[dict],
     that batches by generation sees byte-identical results at any
     worker count (tests/test_fuzz_campaign.py pins serial == parallel).
     """
-    specs = list(specs)
-    if processes is None:
-        processes = os.cpu_count() or 1
-    if processes <= 1 or len(specs) <= 1:
-        return [fuzz_point(spec) for spec in specs]
-    with multiprocessing.Pool(min(processes, len(specs))) as pool:
-        return pool.map(fuzz_point, specs, chunksize=1)
+    return _pool_map(fuzz_point, specs, processes)

@@ -54,11 +54,6 @@ class OdinfsFS(NovaFS):
         return len(self.delegation_cores)
 
     @property
-    def threads(self):
-        """The backend's delegation threads (one per reserved core)."""
-        return self._backend.threads
-
-    @property
     def requests_delegated(self) -> int:
         return self._backend.requests_delegated
 

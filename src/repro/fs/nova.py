@@ -68,7 +68,7 @@ class OpContext:
     PHASES = ("metadata", "memcpy", "indexing", "syscall", "wait")
 
     __slots__ = ("platform", "engine", "core", "record", "_breakdown",
-                 "cpu_ns", "started_at", "app", "lock_racing", "deadline",
+                 "cpu_ns", "app", "lock_racing", "deadline",
                  "force_sync", "op_id", "_tracer")
 
     def __init__(self, platform: Platform, core=None, record: bool = True,
@@ -87,7 +87,6 @@ class OpContext:
         # context per op with record=False and never look at it.
         self._breakdown: Optional[Dict[str, int]] = None
         self.cpu_ns = 0
-        self.started_at = self.engine.now
         #: The issuing application's profile (QoS class), if any.
         self.app = None
         #: Waiters racing for the file lock at acquire time (set by
@@ -218,11 +217,6 @@ class OpContext:
         else:
             value = yield event
         return value
-
-    @property
-    def latency(self) -> int:
-        """Nanoseconds since the operation started."""
-        return self.engine.now - self.started_at
 
 
 @dataclass
@@ -747,18 +741,3 @@ class NovaFS:
         pending data movement, so this is a no-op for them."""
         return
         yield  # pragma: no cover - makes this a generator
-
-    # ------------------------------------------------------------------
-    # Convenience (drive an op to completion on a throwaway context)
-    # ------------------------------------------------------------------
-    def run_op(self, op_gen):
-        """Run one op generator to completion outside any workload.
-
-        Only valid while the engine is not running; used by tests and
-        examples for setup/verification.
-        """
-        proc = self.engine.process(op_gen)
-        self.engine.run()
-        if not proc.ok:
-            raise proc.value
-        return proc.value

@@ -333,10 +333,6 @@ class PMImage:
         tail = self.log_tails.get(ino, 0)
         return self.logs.get(ino, [])[:tail]
 
-    def page_bytes(self) -> int:
-        """Rough count of live data pages."""
-        return len(self.pages)
-
 
 def file_bytes(image: PMImage, m: MemInode, offset: int,
                nbytes: int) -> bytes:

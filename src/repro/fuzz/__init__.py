@@ -11,8 +11,7 @@ emits.  See DESIGN.md §16 for the architecture.
 from repro.fuzz.campaign import (CampaignReport, Failure, FuzzConfig,
                                  run_campaign)
 from repro.fuzz.corpus import (CorpusEntry, load_reproducers, pick_parents,
-                               reproducer_dict, seed_corpus,
-                               write_reproducer)
+                               seed_corpus)
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.mutate import (MUTATORS, apply_mutation, mutator_names,
                                register_mutator)
@@ -25,8 +24,7 @@ from repro.fuzz.tuples import (CrashSpec, FAULT_TOLERANT_KINDS, FaultSpec,
 
 __all__ = [
     "CampaignReport", "Failure", "FuzzConfig", "run_campaign",
-    "CorpusEntry", "load_reproducers", "pick_parents", "reproducer_dict",
-    "seed_corpus", "write_reproducer",
+    "CorpusEntry", "load_reproducers", "pick_parents", "seed_corpus",
     "CoverageMap",
     "MUTATORS", "apply_mutation", "mutator_names", "register_mutator",
     "DETECTORS", "Finding", "ScenarioResult", "run_scenario",

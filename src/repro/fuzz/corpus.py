@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.fuzz.tuples import (FaultSpec, N_CHANNELS, NetSpec, RuntimeSpec,
                                ScenarioTuple, WorkloadSpec, make_op,
@@ -99,34 +99,6 @@ def pick_parents(rng, corpus: List[CorpusEntry],
 
 
 # -- reproducer files --------------------------------------------------
-
-def reproducer_dict(t: ScenarioTuple, *, mutant: Optional[str],
-                    expect: List[str], note: str = "",
-                    shrink_evals: int = 0,
-                    original_size: int = 0) -> dict:
-    """The committed-file payload for one shrunk failing tuple."""
-    return {
-        "format": REPRO_FORMAT,
-        "tuple": t.to_dict(),
-        "key": t.key(),
-        "mutant": mutant,
-        #: Detector names that must fire on replay (subset match).
-        "expect": sorted(expect),
-        "note": note,
-        "shrink": {"evals": shrink_evals,
-                   "from_size": original_size,
-                   "to_size": t.size()},
-    }
-
-
-def write_reproducer(directory: str, name: str, payload: dict) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
-    return path
-
 
 def load_reproducers(directory: str) -> List[Tuple[str, dict]]:
     """``(filename, payload)`` for every committed reproducer, sorted

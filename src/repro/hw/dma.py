@@ -94,11 +94,6 @@ class DmaDescriptor:
         #: Fault kind when status is "error" (see repro.faults).
         self.error: Optional[str] = None
 
-    @property
-    def failed(self) -> bool:
-        """Did this descriptor fail (error or stranded)?"""
-        return self.status in ("error", "stranded")
-
 
 class DmaChannel:
     """One DMA channel: descriptor ring + processing engine + completion buffer."""
@@ -471,6 +466,3 @@ class DmaEngine:
         chans = (self.channels if candidates is None
                  else [self.channels[i] for i in candidates])
         return min(chans, key=lambda c: (c.queue_depth, c.channel_id))
-
-    def total_bytes_moved(self) -> int:
-        return sum(c.bytes_moved for c in self.channels)

@@ -170,13 +170,6 @@ class BandwidthPool:
         """Number of in-flight transfers."""
         return len(self._flows)
 
-    def group_counts(self) -> Dict[str, int]:
-        """How many active flows each group has."""
-        counts: Dict[str, int] = {}
-        for flow in self._flows:
-            counts[flow.group] = counts.get(flow.group, 0) + 1
-        return counts
-
     def set_capacity(self, capacity: float) -> None:
         """Change the device capacity mid-run (fault injection).
 
@@ -209,11 +202,6 @@ class BandwidthPool:
                                     self._shape_id(group, cap, tag)))
         self._rebalance()
         return event
-
-    def instantaneous_rate(self, group: Optional[str] = None) -> float:
-        """Current aggregate allocated rate (optionally one group's)."""
-        return sum(f.rate for f in self._flows
-                   if group is None or f.group == group)
 
     # -- internals -------------------------------------------------------
     def _shape_id(self, group: str, cap: float, tag: object) -> Optional[int]:

@@ -87,10 +87,6 @@ class Platform:
         """Advance the simulation (see :meth:`repro.sim.Engine.run`)."""
         self.engine.run(until=until)
 
-    def total_busy_ns(self) -> int:
-        """Aggregate busy time across all cores."""
-        return sum(core.busy_ns() for core in self.cores)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = self.config
         return (f"<Platform {c.sockets}x{c.cores_per_socket} cores, "

@@ -129,10 +129,6 @@ class IoPlan:
         return [e.nbytes for e in self.extents if e.page_ids]
 
     @property
-    def data_extents(self) -> List[Extent]:
-        return [e for e in self.extents if e.page_ids]
-
-    @property
     def mapped_bytes(self) -> int:
         """Total bytes backed by pages (excludes read holes)."""
         return sum(e.nbytes for e in self.extents if e.page_ids)

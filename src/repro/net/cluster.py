@@ -34,8 +34,6 @@ from repro.faults.plan import check_non_negative
 from repro.net.network import Endpoint, Network, NetStats
 from repro.net.replica import (
     NOT_PRIMARY,
-    READONLY,
-    ClientRead,
     ClientResp,
     ClientWrite,
     LeaseReply,
@@ -192,16 +190,6 @@ class Cluster:
         self.primary_log.append((self.engine.now, node_id, epoch))
 
     @property
-    def primary(self) -> Optional[ReplicaNode]:
-        """The live primary, if any (for tests and demos)."""
-        from repro.net.replica import PRIMARY
-        for node in self.nodes.values():
-            if node.role == PRIMARY and not node.down \
-                    and self.engine.now < node.lease_expires:
-                return node
-        return None
-
-    @property
     def failover_budget_ns(self) -> int:
         """Worst-case primary-loss to new-primary-elected window:
         lease lapse + slowest stagger + a few election rounds."""
@@ -248,35 +236,6 @@ class Cluster:
                 continue
             # Timeout, readonly, or a hintless refusal: back off, then
             # try the next replica in rotation.
-            pause = rto if deadline_ns is None \
-                else min(rto, max(1, deadline_ns - self.engine.now))
-            yield self.engine.timeout(pause)
-            rto = min(rto * 2, cfg.client_rto_cap_ns)
-            target = (target + 1) % len(self.node_ids) \
-                if isinstance(target, int) else 0
-
-    def client_read(self, ep: Endpoint,
-                    deadline_ns: Optional[int] = None):
-        """Generator: read the committed SN high-water from the primary."""
-        from repro.fs.nova import DeadlineExceeded
-        cfg = self.cfg
-        req_id = (ep.node_id, next(self._req_seq))
-        target = self._guess_primary()
-        rto = cfg.client_rto_base_ns
-        while True:
-            now = self.engine.now
-            if deadline_ns is not None and now >= deadline_ns:
-                raise DeadlineExceeded(
-                    f"replicated read {req_id} missed its deadline")
-            ep.send(target, ClientRead(req_id))
-            resp = yield from self._await_resp(ep, req_id, rto, deadline_ns)
-            if resp is not None and resp.ok:
-                return resp.sn
-            self.stats.client_retries += 1
-            if resp is not None and resp.reason == NOT_PRIMARY \
-                    and resp.hint is not None and resp.hint != target:
-                target = resp.hint
-                continue
             pause = rto if deadline_ns is None \
                 else min(rto, max(1, deadline_ns - self.engine.now))
             yield self.engine.timeout(pause)

@@ -124,9 +124,6 @@ class Network:
         self.endpoints[node_id] = ep
         return ep
 
-    def endpoint(self, node_id) -> Endpoint:
-        return self.endpoints[node_id]
-
     def set_link(self, a, b, latency_ns: Optional[int] = None,
                  bytes_per_ns: Optional[float] = None) -> None:
         """Override latency/bandwidth for the (a, b) pair, both ways."""

@@ -73,11 +73,6 @@ class ClientWrite:
 
 
 @dataclass(frozen=True)
-class ClientRead:
-    req_id: Tuple
-
-
-@dataclass(frozen=True)
 class ClientResp:
     req_id: Tuple
     ok: bool
@@ -287,8 +282,6 @@ class ReplicaNode:
             self._on_ship_ack(src, msg)
         elif isinstance(msg, ClientWrite):
             yield from self._on_client_write(src, msg)
-        elif isinstance(msg, ClientRead):
-            self._on_client_read(src, msg)
         elif isinstance(msg, Probe):
             self.endpoint.send(src, ProbeReply(
                 self.node_id, self.applied_sn,
@@ -405,18 +398,6 @@ class ReplicaNode:
         for p in self.peers:
             self._next_ship[p] = min(self._next_ship.get(p, now), now)
         self._recompute_commit()
-
-    def _on_client_read(self, src, msg: ClientRead) -> None:
-        # Reads are served from the committed prefix; a read-only
-        # primary (quorum lost) still serves them -- that is the
-        # graceful-degradation contract.
-        if self.role == PRIMARY and self.engine.now < self.lease_expires:
-            self.endpoint.send(src, ClientResp(msg.req_id, True,
-                                               sn=self.commit_sn))
-        else:
-            self.endpoint.send(src, ClientResp(
-                msg.req_id, False, reason=NOT_PRIMARY,
-                hint=self.known_primary))
 
     def _on_ship_ack(self, src, ack: ShipAck) -> None:
         if self.role != PRIMARY:

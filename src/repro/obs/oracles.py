@@ -522,9 +522,6 @@ class TraceChecker:
         out.sort(key=lambda v: v.index)
         return out
 
-    def check_tracer(self, tracer) -> List[Violation]:
-        return self.check(tracer.events)
-
 
 def assert_trace_ok(events: Iterable[TraceEvent],
                     oracles: Optional[Iterable] = None) -> None:

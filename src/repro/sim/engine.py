@@ -255,18 +255,6 @@ class Event:
             assert self.callbacks is not None
             self.callbacks.append(fn)
 
-    def _process_callbacks(self) -> None:
-        callbacks = self.callbacks
-        self.callbacks = None
-        self._state = _PROCESSED
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-        elif not self._ok and isinstance(self, Process):
-            # A process died with no one waiting on it: surface the error
-            # instead of letting it pass silently.
-            raise self._value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered",
                  _PROCESSED: "processed", _CANCELLED: "cancelled"}[self._state]
@@ -472,13 +460,10 @@ class Process(Event):
             self.succeed(stop.value)
             self._resume_cb = None  # break the self-reference cycle
             return
-        except Interrupt as exc:
-            self.fail(exc)
-            self._resume_cb = None
-            return
         except BaseException as exc:
-            # Propagate to waiters; if nobody is waiting, _process_callbacks
-            # re-raises so the failure is never silent.
+            # An uncaught Interrupt lands here too.  Propagate to
+            # waiters; if nobody is waiting, the run loop re-raises so
+            # the failure is never silent.
             self.fail(exc)
             self._resume_cb = None
             return
@@ -719,7 +704,7 @@ class Engine:
             queued = len(batch)
             wheel._len -= queued
             # Batch firing: every event scheduled for this instant, in
-            # schedule order, with Event._process_callbacks inlined.
+            # schedule order; this loop is the one callback dispatch.
             # The clock is set once up front and rolled back in the
             # (rare) case the whole batch turned out to be cancelled.
             prev_now = self._now

@@ -1,10 +1,9 @@
 """Build platforms and filesystems by name (the §6.1 configurations).
 
-The name -> class mapping is a real registry (:data:`FS_REGISTRY`):
+One name -> class table (:data:`FS_REGISTRY`) serves every caller:
 benchmarks, examples, and the crash harness resolve filesystems
 through :func:`fs_class` / :func:`make_fs` instead of importing the
-variant classes directly, and :func:`register_fs` lets experiment
-code add variants without touching this module.
+variant classes directly.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.fs.pmimage import PMImage
 from repro.hw.params import CostModel
 from repro.hw.platform import Platform, PlatformConfig
 
-#: The filesystem registry: evaluation name -> class (Figure 8-10 series).
+#: Evaluation name -> class (Figure 8-10 series).
 FS_REGISTRY: Dict[str, Type[NovaFS]] = {
     "nova": NovaFS,
     "nova-dma": NovaDmaFS,
@@ -40,19 +39,6 @@ FS_LABELS = {
     "easyio": "EasyIO",
     "naive": "Naive",
 }
-
-
-def register_fs(kind: str, cls: Type[NovaFS],
-                label: Optional[str] = None) -> Type[NovaFS]:
-    """Register a filesystem class under an evaluation name.
-
-    Returns the class, so it can be used as a decorator:
-    ``@register_fs("my-variant", label="MyFS")`` is not supported --
-    call it as ``register_fs("my-variant", MyFS)``.
-    """
-    FS_REGISTRY[kind] = cls
-    FS_LABELS.setdefault(kind, label or getattr(cls, "name", kind))
-    return cls
 
 
 def fs_class(kind: str) -> Type[NovaFS]:

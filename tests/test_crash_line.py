@@ -9,7 +9,10 @@ The headline claims of the cache-line crash model:
   are caught by the line sweep;
 * the skipped fence is *invisible* to the page-granularity sweep (the
   mutation journal records logical stores, not fences), demonstrating
-  the detection gap the line model closes.
+  the detection gap the line model closes;
+* two planted recovery bugs -- torn journal records left in place, and
+  recovery run without the completion-buffer SN rule -- are caught by
+  the ``torn-journal`` and ``no-resurrect`` mechanism oracles.
 
 Failing plans from the mutant runs are dumped to
 ``crash_mutant_plans.json`` (CI uploads it as an artifact).
@@ -21,9 +24,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.easyio import CRASH_MUTANTS, install_crash_mutant
+from repro.crash import crashmonkey
 from repro.crash.crashmonkey import (CRASH_WORKLOADS, _line_sweep,
                                      _record_workload, run_crash_test)
 from repro.faults import ChannelHaltFault, FaultPlan
+from repro.fs.structures import TornRecord
 
 ARTIFACT = Path("crash_mutant_plans.json")
 
@@ -145,6 +150,49 @@ class TestMutantDetection:
             install_crash_mutant(fs, "nonsense")
         assert set(CRASH_MUTANTS) == {"skip_append_fence",
                                       "reorder_amend_persist"}
+
+
+def _keep_torn(recover):
+    """Recovery mutant: put back every torn journal record that
+    recovery retired."""
+    def mutant(img, validator=None):
+        torn = [txn for txn in img.journal if isinstance(txn, TornRecord)]
+        recovered = recover(img, validator)
+        img.journal.extend(torn)
+        return recovered
+    return mutant
+
+
+def _drop_validator(recover):
+    """Recovery mutant: replay committed write entries without the
+    completion-buffer SN rule."""
+    def mutant(img, validator=None):
+        return recover(img, None)
+    return mutant
+
+
+class TestRecoveryMutants:
+    """Each mechanism oracle must name the recovery bug it exists for.
+
+    The mutants wrap ``recover`` as the plan-check loop calls it; the
+    same sweep must pass without the mutant."""
+
+    @pytest.mark.parametrize("kind", ["easyio", "nova"])
+    def test_keep_torn_caught_as_torn_journal(self, kind, monkeypatch):
+        assert _line_report(kind, "generic_322", per_signature=3).all_passed
+        monkeypatch.setattr(crashmonkey, "recover",
+                            _keep_torn(crashmonkey.recover))
+        report = _line_report(kind, "generic_322", per_signature=3)
+        assert {f.check for f in report.failures} == {"torn-journal"}
+
+    @pytest.mark.parametrize("workload", sorted(CRASH_WORKLOADS))
+    def test_drop_validator_caught_as_no_resurrect(self, workload,
+                                                   monkeypatch):
+        assert _line_report("easyio", workload, per_signature=3).all_passed
+        monkeypatch.setattr(crashmonkey, "recover",
+                            _drop_validator(crashmonkey.recover))
+        report = _line_report("easyio", workload, per_signature=3)
+        assert "no-resurrect" in {f.check for f in report.failures}
 
 
 class TestReportShape:

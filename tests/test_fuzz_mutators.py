@@ -10,14 +10,17 @@ The mutator property is the load-bearing one: every mutated
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.fs.structures import PAGE_SIZE
 from repro.fuzz import (FAULT_TOLERANT_KINDS, ScenarioTuple, WorkloadSpec,
                         apply_mutation, make_op, mutator_names,
                         run_scenario, schedule_from_seed, seed_corpus,
                         shrink)
-from repro.fuzz.tuples import FaultSpec, N_CHANNELS
+from repro.fuzz.tuples import (MAX_GAP_NS, MAX_IO, MAX_OPS, FaultSpec,
+                               N_CHANNELS, NetSpec, RuntimeSpec)
 
 
 def test_mutation_chains_stay_valid():
@@ -86,6 +89,37 @@ def test_invalid_tuple_rejected_by_validators():
                       fault=FaultSpec(p_chan_halt=0.1)).validate()
 
 
+@pytest.mark.parametrize("spec, match", [
+    (WorkloadSpec(nfiles=0), "nfiles"),
+    (WorkloadSpec(ops=(make_op("write", 0, 0, 1),) * (MAX_OPS + 1)),
+     "exceeds"),
+    (WorkloadSpec(ops=(("write", 0, 0, 1),)), "malformed"),
+    (WorkloadSpec(ops=(make_op("fsync"),)), "unknown op kind"),
+    (WorkloadSpec(ops=(make_op("write", 1, 0, 1),)), "targets file"),
+    (WorkloadSpec(ops=(make_op("write", 0, -1, 1),)), "negative"),
+    (WorkloadSpec(ops=(make_op("write", 0, 0, 1, 0, MAX_GAP_NS + 1),)),
+     "out of range"),
+    (WorkloadSpec(ops=(make_op("read", 0, 0, MAX_IO + 1),)), "nbytes"),
+    (NetSpec(n_nodes=6), "n_nodes"),
+    (NetSpec(writes_per_client=0), "at least one"),
+    (NetSpec(deadline_us=0), "deadline_us"),
+    (NetSpec(partitions=((0, 10, (3,)),)), "partition group"),
+    (NetSpec(partitions=((0, 10, (0, 1, 2)),)), "covers every node"),
+    (NetSpec(crashes=((3, 0, 10),)), "crash node"),
+    (NetSpec(crashes=((0, 0, 0),)), "down_ns"),
+    (RuntimeSpec(policy="drop"), "policy"),
+    (RuntimeSpec(rate_ops_per_sec=0.0), "rate_ops_per_sec"),
+    (RuntimeSpec(burst=0), "burst"),
+    (RuntimeSpec(max_inflight=0), "max_inflight"),
+    (RuntimeSpec(deadline_us=0), "deadline_us"),
+])
+def test_spec_validate_rejects(spec, match):
+    """Each check a tuple loaded from a corpus file passes through
+    rejects its own bad field, with its own message."""
+    with pytest.raises(ValueError, match=match):
+        spec.validate()
+
+
 # -- shrinker ----------------------------------------------------------
 
 def _torn_tuple():
@@ -138,3 +172,62 @@ def test_shrink_passthrough_on_passing_tuple():
     out, evals = shrink(t, lambda x: run_scenario(x).failing,
                         seed=0, max_evals=10)
     assert out == t and evals == 1
+
+
+#: The one fault the shrink predicates below depend on.
+KEPT_HALT = (3, 2)
+
+
+def _loaded_tuple():
+    """Every reducible dimension active: faults and their
+    probabilities, net windows, crashes and probabilities, admission
+    and a deadline, and a spare file."""
+    return ScenarioTuple(
+        workload=WorkloadSpec(nfiles=2, ops=(
+            make_op("write", 0, PAGE_SIZE, 3 * PAGE_SIZE, 1, 1_000),
+            make_op("append", 0, 0, 2 * PAGE_SIZE, 2, 20_000),
+            make_op("read", 0, 0, 100, 0, 0))),
+        fault=FaultSpec(seed=3, p_xfer_error=0.1, p_chan_halt=0.05,
+                        halts=((0, 1), KEPT_HALT), xfers=((1, 3),),
+                        bw=((0, 10_000, 0.5),)),
+        net=NetSpec(enabled=True, seed=5, p_drop=0.1, p_dup=0.05,
+                    p_delay=0.05, writes_per_client=4,
+                    partitions=((30_000, 10_000, (0,)),),
+                    crashes=((1, 50_000, 10_000),)),
+        runtime=RuntimeSpec(rate_ops_per_sec=100_000.0, burst=1,
+                            max_inflight=4, policy="degrade",
+                            deadline_us=100))
+
+
+@pytest.mark.parametrize("keep", [None, "net", "admission", "deadline"])
+def test_shrink_strips_faults_net_and_runtime(keep):
+    """With a predicate that holds only while one chosen halt survives,
+    the shrinker keeps that halt and strips everything else.  ``keep``
+    also pins one dimension, so the shrinker has to reduce inside it
+    instead of dropping it whole."""
+    def pred(t):
+        return KEPT_HALT in t.fault.halts and {
+            None: True,
+            "net": t.net.enabled,
+            "admission": t.runtime.admission_active,
+            "deadline": t.runtime.deadline_us is not None,
+        }[keep]
+
+    t = _loaded_tuple()
+    mini, _ = shrink(t, pred, seed=0)
+    assert mini.fault.halts == (KEPT_HALT,) and mini.fault.size() == 1
+    assert not mini.crash.enabled
+    assert mini.workload.nfiles == 1 and len(mini.workload.ops) == 1
+    if keep == "net":
+        assert mini.net == replace(t.net, p_drop=0.0, p_dup=0.0,
+                                   p_delay=0.0, writes_per_client=1,
+                                   partitions=(), crashes=())
+    else:
+        assert mini.net == NetSpec()
+    if keep == "admission":
+        assert mini.runtime == replace(t.runtime, deadline_us=None)
+    elif keep == "deadline":
+        assert mini.runtime == replace(t.runtime, rate_ops_per_sec=None,
+                                       max_inflight=None)
+    else:
+        assert mini.runtime == RuntimeSpec()

@@ -4,7 +4,9 @@ import pytest
 
 from repro.fs import NovaFS, PMImage
 from repro.core import EasyIoFS
+from repro.fs.structures import WriteEntry
 from repro.runtime import Compute, Runtime, Sleep, Syscall, Yield
+from repro.workloads import fxmark
 
 
 class TestBasics:
@@ -138,6 +140,31 @@ class TestSyscalls:
         first_io_done = kinds.index("io")
         assert "cpu" in kinds[:first_io_done], \
             "compute should interleave with the in-flight write"
+
+    def test_deferred_commit_runs_on_resume(self, monkeypatch):
+        """The Naive ablation splits a write into a DMA syscall and a
+        deferred metadata-commit syscall; the scheduler runs the commit
+        when the parked uthread resumes.  A small Fig 11 run (shared
+        file, one compute uthread per core): every write the
+        filesystem took must reach the committed log."""
+        made = []
+        make_fs = fxmark.make_fs
+
+        def capture(*args, **kwargs):
+            made.append(make_fs(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(fxmark, "make_fs", capture)
+        result = fxmark.run_fxmark(fxmark.FxmarkConfig(
+            kind="naive", op="write", io_size=16384, workers=2,
+            shared=True, duration_us=300, warmup_us=100,
+            uthreads_per_core=1, compute_uthreads_per_core=1,
+            steal=False))
+        fs, = made
+        committed = sum(isinstance(entry, WriteEntry)
+                        for ino in fs.image.inodes
+                        for entry in fs.image.committed_log(ino))
+        assert result.total_ops > 0
+        assert committed == fs.dma_writes + fs.memcpy_writes
 
 
 class TestWorkStealing:

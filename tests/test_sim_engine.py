@@ -172,6 +172,63 @@ class TestProcesses:
             proc.interrupt()
 
 
+def _stale_wakeup(engine):
+    """Interrupted while waiting on one timeout, the process waits on a
+    second; the first one firing later must not resume it."""
+    def body():
+        try:
+            yield engine.timeout(100)
+        except Interrupt:
+            pass
+        yield engine.timeout(1000)
+        return engine.now
+    proc = engine.process(body())
+    def killer():
+        yield engine.timeout(10)
+        proc.interrupt()
+    engine.process(killer())
+    engine.run()
+    return proc.value
+
+
+def _uncaught_interrupt(engine):
+    """An interrupt the body does not catch fails the process, and its
+    waiter sees the Interrupt with its cause."""
+    def child():
+        yield engine.timeout(100)
+    proc = engine.process(child())
+    def parent():
+        try:
+            yield proc
+        except Interrupt as exc:
+            return ("interrupted", exc.cause, engine.now)
+    def killer():
+        yield engine.timeout(10)
+        proc.interrupt("stop")
+    engine.process(killer())
+    return run_proc(engine, parent())
+
+
+def _foreign_event(engine):
+    """Yielding another engine's event fails the process loudly instead
+    of parking it forever."""
+    def body():
+        yield Engine().event()
+    proc = engine.process(body())
+    with pytest.raises(SimulationError):
+        engine.run()
+    return str(proc.value).split(" yielded ")[1]
+
+
+@pytest.mark.parametrize("case, expected", [
+    (_stale_wakeup, 1010),
+    (_uncaught_interrupt, ("interrupted", "stop", 10)),
+    (_foreign_event, "event from another engine"),
+], ids=["stale-wakeup", "uncaught-interrupt", "foreign-event"])
+def test_process_resume_edge_paths(engine, case, expected):
+    assert case(engine) == expected
+
+
 class TestCompositeEvents:
     def test_any_of_fires_on_first(self, engine):
         def body():
