@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulation kernel.
 
 This package provides the substrate every simulated component in the
-reproduction runs on: a nanosecond-resolution event loop (:mod:`engine`),
-generator-coroutine processes, and simulated-time synchronisation
-primitives (:mod:`sync`).
+reproduction runs on: a nanosecond-resolution event loop that owns its
+one schedule (:mod:`engine`), generator-coroutine processes, and
+simulated-time synchronisation primitives (:mod:`sync`).
 
 The design is intentionally SimPy-like but self-contained (no external
 dependency) and fully deterministic: events scheduled for the same
@@ -20,7 +20,6 @@ from repro.sim.engine import (
     Timeout,
     WaitTimeout,
 )
-from repro.sim.queues import TimingWheelQueue
 from repro.sim.sync import Channel, Gate, RWLock, Store
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "RWLock",
     "SimulationError",
     "Store",
-    "TimingWheelQueue",
     "Timeout",
     "WaitTimeout",
 ]

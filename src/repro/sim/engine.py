@@ -1,30 +1,35 @@
 """Discrete-event simulation engine.
 
-The engine keeps a schedule queue of triggered events ordered by
-``(time, schedule-order)``.  Processes are generator coroutines that
-yield :class:`Event` objects; the engine resumes a process when the
-event it is waiting on fires.  Time is an integer number of
-nanoseconds, which keeps arithmetic exact and traces reproducible.
+The engine owns one schedule of triggered events, fired in
+``(time, schedule-order)`` order: of two events the earlier ``when``
+fires first, and within one ``when`` the event scheduled first fires
+first.  Processes are generator coroutines that yield :class:`Event`
+objects; the engine resumes a process when the event it is waiting on
+fires.  Time is an integer number of nanoseconds, which keeps
+arithmetic exact and traces reproducible.
 
 Hot-path design (the engine is the throughput ceiling for every
 figure sweep, so the representation is tuned without changing the
-``(time, schedule-order)`` firing order):
+firing order):
 
-* The schedule queue is a hierarchical timing wheel (see
-  :mod:`repro.sim.queues`) whose per-timestamp FIFO buckets make
-  pushes O(1) amortised; the hottest triggers (``succeed`` and
-  ``sleep``) inline its near-window push.
-* The run loop *batch-fires*: it walks the wheel's buckets directly
-  and drains all events at one ``when`` in a single dispatch, so the
-  clock, the limit check, and the queue are touched once per distinct
-  timestamp instead of once per event.
+* The schedule is a bucketed timestamp heap: ``Engine._buckets`` maps
+  each distinct timestamp to its FIFO list of events and
+  ``Engine._whens`` is a min-heap of those timestamps.  Bucket order
+  is schedule order, so no sequence numbers are needed, and a push to
+  an existing instant is a dict hit plus a list append.  The hottest
+  triggers (``succeed`` and ``sleep``) inline the push.
+* The run loop *batch-fires*: it pops one timestamp and drains its
+  whole bucket in a single dispatch, so the clock, the limit check,
+  and the heap are touched once per distinct timestamp instead of
+  once per event.
 * :meth:`Engine.sleep` hands out pooled one-shot timer events for the
   fire-and-forget delays that dominate simulations (CPU cost charges,
   scheduler switch costs, device service delays).  See its docstring
   for the (strict) usage contract.
-* Cancelled events already queued are counted and the queue is lazily
-  compacted once they dominate, so cancel-heavy overload runs do not
-  drag dead entries around forever.
+* Cancelled events already queued are counted and the schedule is
+  lazily compacted once they dominate (see :data:`COMPACT_MIN_DEAD`),
+  so cancel-heavy overload runs do not drag dead entries around
+  forever.
 * :class:`AnyOf`/:class:`AllOf` fast-path the 1-event case.
 
 Example
@@ -45,10 +50,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from repro.sim.queues import TimingWheelQueue
 
 
 class SimulationError(Exception):
@@ -89,6 +92,10 @@ _TRACER_FACTORY: Optional[Callable[["Engine"], Any]] = None
 #: run(until=None) limit: beyond any reachable simulated time.
 _NO_LIMIT = 1 << 120
 
+#: Compaction policy: rebuild the schedule when more than this many
+#: cancelled entries are queued *and* they outnumber the live ones.
+COMPACT_MIN_DEAD = 64
+
 
 def set_tracer_factory(factory: Optional[Callable[["Engine"], Any]]) -> None:
     """Install (or, with None, remove) the module-level tracer factory.
@@ -116,9 +123,8 @@ class EngineStats:
 
     ``events_fired`` counts processed events, ``events_cancelled``
     counts :meth:`Event.cancel` calls that performed a cancellation,
-    and ``heap_compactions`` counts lazy rebuilds of the schedule queue
-    (each one evicts the cancelled entries accumulated so far; the name
-    predates the timing wheel).
+    and ``heap_compactions`` counts lazy rebuilds of the schedule
+    (each one evicts the cancelled entries accumulated so far).
     ``sleeps_reused`` counts pooled :meth:`Engine.sleep` recycles.
     """
 
@@ -179,21 +185,16 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._state = _TRIGGERED
-        # succeed() is the hottest trigger: the wheel's near-window
-        # bucket push is inlined; the far window takes the push call.
+        # succeed() is the hottest trigger: Engine._schedule inlined.
         engine = self.engine
-        wheel = engine._wheel
         when = engine._now
-        if when < wheel._epoch_end:
-            wheel._len += 1
-            bucket = wheel._buckets.get(when)
-            if bucket is None:
-                wheel._buckets[when] = [self]
-                heappush(wheel._whens, when)
-            else:
-                bucket.append(self)
+        engine._queued += 1
+        bucket = engine._buckets.get(when)
+        if bucket is None:
+            engine._buckets[when] = [self]
+            heappush(engine._whens, when)
         else:
-            wheel.push(self, when)
+            bucket.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -218,7 +219,7 @@ class Event:
         A *pending* event becomes inert -- triggering it later is an
         error, and any synchronisation primitive holding it in a waiter
         queue skips it when granting.  A *triggered* event (already in
-        the schedule queue, e.g. a :class:`Timeout`) is skipped by the
+        the schedule, e.g. a :class:`Timeout`) is skipped by the
         engine when its turn comes.  Cancelling an already-cancelled
         event is a no-op; cancelling a processed event is an error.
 
@@ -234,9 +235,12 @@ class Event:
         engine = self.engine
         engine._stats.events_cancelled += 1
         if state == _TRIGGERED:
-            # The entry stays in the schedule queue; the queue counts
-            # it and compacts lazily once dead entries dominate.
-            engine._wheel.note_cancelled(self)
+            # The entry stays in the schedule; the engine counts it and
+            # compacts lazily once dead entries dominate.
+            dead = engine._dead + 1
+            engine._dead = dead
+            if dead > COMPACT_MIN_DEAD and dead * 2 > engine._queued:
+                engine._compact()
         return True
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -501,9 +505,9 @@ class Engine:
         Current simulated time in nanoseconds.
     """
 
-    __slots__ = ("_now", "_wheel", "_active", "_sleep_pool",
-                 "_sleeps_reused", "_stats", "_done", "_name_seqs",
-                 "tracer")
+    __slots__ = ("_now", "_buckets", "_whens", "_queued", "_dead",
+                 "_active", "_sleep_pool", "_sleeps_reused", "_stats",
+                 "_done", "_name_seqs", "tracer")
 
     def __init__(self):
         self._now: int = 0
@@ -514,10 +518,18 @@ class Engine:
         # _stats on the sleep() hot path) and synced into _stats by the
         # `stats` property.
         self._sleeps_reused = 0
-        #: The schedule queue; its near-window push is inlined at the
-        #: hottest trigger sites (succeed / sleep) and the run loop
-        #: walks its buckets directly.
-        self._wheel = TimingWheelQueue(self._stats)
+        #: The schedule: each distinct timestamp's FIFO event list,
+        #: keyed by the `_whens` min-heap of those timestamps.  Both
+        #: are only ever mutated in place (the run loop binds them
+        #: once per run).
+        self._buckets: dict = {}
+        self._whens: list = []
+        #: Entries in the schedule, cancelled ones included.
+        self._queued = 0
+        #: Cancelled entries still queued: bumped by Event.cancel,
+        #: decremented by the run loop as it drops them from a popped
+        #: batch, and reset by each compaction.
+        self._dead = 0
         self._active = False
         self._sleep_pool: list = []
         #: Structured tracer (see repro.obs), or None.  Every
@@ -568,11 +580,8 @@ class Engine:
 
     @property
     def heap_size(self) -> int:
-        """Entries in the schedule queue (including cancelled ones).
-
-        The name predates the timing wheel.
-        """
-        return len(self._wheel)
+        """Entries in the schedule (including cancelled ones)."""
+        return self._queued
 
     # -- event factories --------------------------------------------
     def event(self) -> Event:
@@ -597,6 +606,12 @@ class Engine:
         Scheduling order is identical to an equivalent :meth:`timeout`;
         only the allocation is elided.
         """
+        # Validate before touching the pool, so a rejected delay
+        # neither loses a pooled event nor counts a reuse.
+        if delay.__class__ is not int:
+            delay = int(delay)
+        if delay < 0:
+            raise SimulationError(f"negative sleep delay: {delay}")
         pool = self._sleep_pool
         if pool:
             # The run loop parked it TRIGGERED with an emptied callbacks
@@ -606,23 +621,15 @@ class Engine:
         else:
             ev = _PooledSleep(self)
             ev._state = _TRIGGERED
-        if delay.__class__ is not int:
-            delay = int(delay)
-        if delay < 0:
-            raise SimulationError(f"negative sleep delay: {delay}")
+        # Engine._schedule inlined (the hottest schedule op).
         when = self._now + delay
-        wheel = self._wheel
-        if when < wheel._epoch_end:
-            # Inlined near-window wheel push (the hottest schedule op).
-            wheel._len += 1
-            bucket = wheel._buckets.get(when)
-            if bucket is None:
-                wheel._buckets[when] = [ev]
-                heappush(wheel._whens, when)
-            else:
-                bucket.append(ev)
+        self._queued += 1
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [ev]
+            heappush(self._whens, when)
         else:
-            wheel.push(ev, when)
+            bucket.append(ev)
         return ev
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -644,7 +651,32 @@ class Engine:
 
     # -- scheduling --------------------------------------------------
     def _schedule(self, event: Event, delay: int = 0) -> None:
-        self._wheel.push(event, self._now + delay)
+        when = self._now + delay
+        self._queued += 1
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [event]
+            heappush(self._whens, when)
+        else:
+            bucket.append(event)
+
+    def _compact(self) -> None:
+        """Drop cancelled entries from every bucket, in place."""
+        buckets = self._buckets
+        live = 0
+        for when in list(buckets):
+            kept = [ev for ev in buckets[when] if ev._state != _CANCELLED]
+            if kept:
+                buckets[when] = kept
+                live += len(kept)
+            else:
+                del buckets[when]
+        whens = self._whens
+        whens[:] = buckets
+        heapify(whens)
+        self._queued = live
+        self._dead = 0
+        self._stats.heap_compactions += 1
 
     # -- main loop ---------------------------------------------------
     def run(self, until: Optional[int] = None) -> None:
@@ -682,17 +714,11 @@ class Engine:
     def _fire_until(self, limit: int) -> int:
         """The run loop: fire every batch up to ``limit``, return the
         count of events fired."""
-        wheel = self._wheel
+        buckets = self._buckets
+        whens = self._whens
         pool = self._sleep_pool
         fired = 0
-        while True:
-            # Re-read per iteration: cascade and compaction replace
-            # the wheel's internal containers.
-            whens = wheel._whens
-            if not whens:
-                if not wheel._cascade():
-                    break
-                continue
+        while whens:
             when = whens[0]
             if when > limit:
                 break
@@ -700,9 +726,9 @@ class Engine:
                 del whens[0]
             else:
                 heappop(whens)
-            batch = wheel._buckets.pop(when)
+            batch = buckets.pop(when)
             queued = len(batch)
-            wheel._len -= queued
+            self._queued -= queued
             # Batch firing: every event scheduled for this instant, in
             # schedule order; this loop is the one callback dispatch.
             # The clock is set once up front and rolled back in the
@@ -746,10 +772,10 @@ class Engine:
             if live == queued:
                 fired += live
                 continue
-            # Dropped cancelled entries leave the queue's dead count.
-            # Clamped: a compaction inside this batch already reset it.
-            dead = wheel._dead - (queued - live)
-            wheel._dead = dead if dead > 0 else 0
+            # Dropped cancelled entries leave the dead count.  Clamped:
+            # a compaction inside this batch already reset it.
+            dead = self._dead - (queued - live)
+            self._dead = dead if dead > 0 else 0
             if live:
                 fired += live
             else:

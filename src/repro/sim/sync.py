@@ -279,6 +279,9 @@ class RWLock:
         return sum(1 for ev, _w in self._waiters if not ev.cancelled)
 
     def _purge_cancelled_head(self) -> None:
+        """Drop timed-out waiters from the head.  Afterwards the head is
+        live or the deque is empty, so ``not self._waiters`` is
+        ``not self.queued`` without scanning every waiter."""
         while self._waiters and self._waiters[0][0].cancelled:
             self._waiters.popleft()
 
@@ -286,7 +289,7 @@ class RWLock:
         """Event firing once shared access is granted."""
         self._purge_cancelled_head()
         ev = self.engine.event()
-        if not self._writer and not self.queued:
+        if not self._writer and not self._waiters:
             self._readers += 1
             ev.succeed()
         else:
@@ -298,7 +301,7 @@ class RWLock:
         """Event firing once exclusive access is granted."""
         self._purge_cancelled_head()
         ev = self.engine.event()
-        if not self._writer and self._readers == 0 and not self.queued:
+        if not self._writer and self._readers == 0 and not self._waiters:
             self._writer = True
             ev.succeed()
         else:

@@ -383,6 +383,20 @@ class TestEngineStats:
         # one recycles it instead of allocating.
         assert engine.stats.sleeps_reused >= 99
 
+    def test_rejected_sleep_keeps_pool_and_reuse_count(self, engine):
+        def body():
+            yield engine.sleep(5)
+        run_proc(engine, body())
+        pool = len(engine._sleep_pool)
+        reused = engine.stats.sleeps_reused
+        with pytest.raises(SimulationError):
+            engine.sleep(-1)
+        # A rejected delay neither drops a pooled event nor counts a
+        # reuse that never happened.
+        assert len(engine._sleep_pool) == pool
+        assert engine.stats.sleeps_reused == reused
+        assert engine.heap_size == 0
+
     def test_done_event_resumes_without_scheduling(self, engine):
         log = []
         def body():

@@ -1,9 +1,9 @@
-"""Schedule-queue edge cases for the engine's timing wheel.
+"""Edge cases for the engine's bucketed timestamp schedule.
 
 The engine's firing-order contract is ``(when, schedule-order)``.
-These tests drive the corners of the wheel representation: same-
+These tests drive the corners of the schedule representation: same-
 timestamp FIFO runs, cancel-heavy compaction and its dead-entry
-accounting, far-future overflow (epoch cascading), and zero-delay
+accounting, timers many milliseconds out, and zero-delay
 self-rescheduling.  A seeded random-schedule cross-check compares the
 whole firing order against a small packed-key binary-heap reference.
 """
@@ -15,7 +15,11 @@ import random
 import pytest
 
 from repro.sim import Engine
-from repro.sim.queues import COMPACT_MIN_DEAD, WHEEL_HORIZON
+from repro.sim.engine import COMPACT_MIN_DEAD
+
+#: About 1 ms: the far-future cases below schedule timers several of
+#: these out, far past the sub-microsecond delays of the hot paths.
+HORIZON = 1 << 20
 
 
 @pytest.fixture
@@ -88,7 +92,7 @@ class TestCancelHeavyCompaction:
     def test_far_future_cancellations_compact_too(self, engine):
         def body():
             for i in range(2000):
-                engine.timeout(10 * WHEEL_HORIZON + i).cancel()
+                engine.timeout(10 * HORIZON + i).cancel()
                 yield engine.sleep(1)
         run_proc(engine, body())
         assert engine.heap_size < 200
@@ -102,7 +106,7 @@ class TestCancelHeavyCompaction:
         engine.sleep(5).cancel()
         engine.run()
         assert engine.heap_size == 0
-        assert engine._wheel._dead == 0
+        assert engine._dead == 0
 
     def test_dropped_entries_do_not_trigger_later_compaction(self, engine):
         # Rounds below the compaction threshold, each drained by run():
@@ -118,24 +122,24 @@ class TestCancelHeavyCompaction:
         live[0].cancel()
         assert engine.stats.heap_compactions == 0
         engine.run()
-        assert engine._wheel._dead == 0
+        assert engine._dead == 0
 
 
-class TestWheelOverflow:
-    """Events past the near horizon cascade through far epochs."""
+class TestFarFutureTimers:
+    """Timers many horizons out fire exactly and in order."""
 
     def test_far_future_timer_fires_exactly(self, engine):
         fired = []
         def body():
-            yield engine.timeout(3 * WHEEL_HORIZON + 17)
+            yield engine.timeout(3 * HORIZON + 17)
             fired.append(engine.now)
         run_proc(engine, body())
-        assert fired == [3 * WHEEL_HORIZON + 17]
+        assert fired == [3 * HORIZON + 17]
 
-    def test_epochs_scheduled_out_of_order_fire_in_order(self, engine):
+    def test_far_timers_scheduled_out_of_order_fire_in_order(self, engine):
         fired = []
-        whens = [5 * WHEEL_HORIZON + 1, WHEEL_HORIZON + 3,
-                 9 * WHEEL_HORIZON, 2 * WHEEL_HORIZON - 1, 40]
+        whens = [5 * HORIZON + 1, HORIZON + 3,
+                 9 * HORIZON, 2 * HORIZON - 1, 40]
         def waiter(when):
             yield engine.timeout(when)
             fired.append(when)
@@ -144,20 +148,20 @@ class TestWheelOverflow:
         engine.run()
         assert fired == sorted(whens)
 
-    def test_push_into_cascaded_window(self, engine):
+    def test_push_after_clock_passes_horizon(self, engine):
         # After the clock has advanced past the first horizon, newly
-        # scheduled near-window events land in the cascaded buckets.
+        # scheduled near events still fire at their exact instant.
         fired = []
         def body():
-            yield engine.timeout(WHEEL_HORIZON + 10)
-            yield engine.timeout(5)  # near push inside epoch 1
+            yield engine.timeout(HORIZON + 10)
+            yield engine.timeout(5)  # short timer past HORIZON
             fired.append(engine.now)
         run_proc(engine, body())
-        assert fired == [WHEEL_HORIZON + 15]
+        assert fired == [HORIZON + 15]
 
-    def test_same_when_fifo_across_cascade(self, engine):
+    def test_same_when_fifo_far_out(self, engine):
         fired = []
-        when = 2 * WHEEL_HORIZON + 500
+        when = 2 * HORIZON + 500
         def waiter(i):
             yield engine.timeout(when)
             fired.append(i)
@@ -198,7 +202,7 @@ class HeapReference:
     """Firing-order oracle: a binary heap of ``(when << 40) | seq`` keys.
 
     One int comparison orders two entries by ``(when, schedule-order)``,
-    the engine's contract, with none of the wheel's buckets or epochs.
+    the engine's contract, with none of the engine's buckets.
     """
 
     SHIFT = 40
@@ -257,8 +261,8 @@ class EngineScheduler:
         self.engine.run()
 
 
-DELAYS = (0, 1, 7, 100, 100, 2048, WHEEL_HORIZON - 1, WHEEL_HORIZON + 13,
-          3 * WHEEL_HORIZON, 7 * WHEEL_HORIZON + 5)
+DELAYS = (0, 1, 7, 100, 100, 2048, HORIZON - 1, HORIZON + 13,
+          3 * HORIZON, 7 * HORIZON + 5)
 
 
 def random_schedule(sched, seed):
