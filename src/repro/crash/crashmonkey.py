@@ -28,17 +28,21 @@ SN rule), or the content check fails.
 from __future__ import annotations
 
 import hashlib
+import struct
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from repro.crash.linestream import replay_plan
 from repro.crash.plans import CrashPlanner
-from repro.fs.pmimage import PMImage, file_bytes
+from repro.fs.pmimage import ELIDED, PMImage
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
-from repro.fs.structures import ROOT_INO, FileKind, MemInode, TornRecord
+from repro.fs.structures import (PAGE_SIZE, ROOT_INO, DentryEntry,
+                                  FileKind, MemInode, RenameTxn, TornRecord,
+                                  WriteEntry)
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, default_tracing
 from repro.workloads.factory import make_fs
@@ -46,90 +50,263 @@ from repro.workloads.fxmark import settle
 
 Snapshot = Dict[str, Tuple]
 
+#: A directory's snapshot entry.
+_DIR = ("dir", 0, None)
 
-def _content_hash(image: PMImage, m) -> str:
-    """Digest of a file's logical content (from its page index)."""
-    hasher = hashlib.sha1()
-    hasher.update(str(m.size).encode())
-    hasher.update(file_bytes(image, m, 0, m.size))
-    return hasher.hexdigest()
+#: The journal ops whose first argument names the inode they change.
+_INODE_OPS = frozenset(("put_inode", "drop_inode", "append_log",
+                        "commit_log_tail", "amend_log_sns"))
+
+
+def _page_digest(data, cut: int, memo: dict) -> bytes:
+    """SHA-1 of the first ``cut`` bytes a mapped page reads, or ``b""``
+    when they are all zeros (holes and ``ELIDED`` pages included).
+    Memoised on the page bytes themselves: ``data``, or ``(data, cut)``
+    for a tail page that EOF cuts."""
+    if data is None or data is ELIDED:
+        return b""
+    key = data if cut == PAGE_SIZE else (data, cut)
+    digest = memo.get(key)
+    if digest is None:
+        part = data[:cut]
+        digest = memo[key] = (b"" if part.count(0) == len(part)
+                              else hashlib.sha1(part).digest())
+    return digest
+
+
+def _file_digest(m: MemInode, pages: dict, memo: dict) -> str:
+    """Digest of ``file_bytes(image, m, 0, m.size)`` for the image whose
+    page table is ``pages``: the SHA-1 of the size, then the offsets
+    and :func:`_page_digest` of every page below EOF that does not read
+    as zeros.  A hole, an ``ELIDED`` page and an all-zero page digest
+    alike, and so do tail pages that differ only past EOF.
+
+    ``memo`` is content-keyed.  Besides the page digests it maps a
+    file's ``(size, pgoffs, page bytes)`` -- its size, its index's page
+    offsets and what each one maps to, never the page id, which CoW
+    recycles for new bytes -- to the file's digest.  A file-key miss
+    costs one memo lookup per mapped page, not a copy and hash of the
+    whole file.
+    """
+    index = m.index
+    key = (m.size, tuple(index),
+           tuple([pages.get(pm.page_id) for pm in index.values()]))
+    value = memo.get(key)
+    if value is not None:
+        return value
+    size, offs, datas = key
+    full, cut = divmod(size, PAGE_SIZE)
+    if list(offs) != sorted(offs):
+        offs, datas = zip(*sorted(zip(offs, datas)))
+    n = bisect_left(offs, full)
+    get = memo.get
+    digests = [get(data) or _page_digest(data, PAGE_SIZE, memo)
+               for data in datas[:n]]
+    if cut and n < len(offs) and offs[n] == full:
+        digests.append(_page_digest(datas[n], cut, memo))
+    offs = offs[:len(digests)]
+    if b"" in digests:
+        offs = [off for off, d in zip(offs, digests) if d]
+        digests = [d for d in digests if d]
+    value = memo[key] = hashlib.sha1(
+        struct.pack(f"<{len(offs) + 1}Q", size, *offs)
+        + b"".join(digests)).hexdigest()
+    return value
+
+
+def _dirty_inodes(records) -> Optional[Dict[int, Set[str]]]:
+    """The inodes whose snapshot entries the journal ``records`` (one
+    op's window) may have changed, each with the dentry names its log
+    entries touched; None when the window cannot say.
+
+    An inode's entry reads its size, index and dentries, which change
+    only with a record naming it, and the bytes of its mapped pages.
+    A ``write_page`` names a page, not an inode: it is accounted for
+    when a ``WriteEntry`` in the same window maps that page (CoW never
+    maps one page into two files).  Any other page store -- a DMA
+    landing after its op's window closed -- returns None, and the
+    caller re-walks the tree.
+    """
+    dirty: Dict[int, Set[str]] = {}
+    written: Set[int] = set()
+    mapped: Set[int] = set()
+    for rec in records:
+        op, args = rec.op, rec.args
+        if op in _INODE_OPS:
+            names = dirty.setdefault(args[0], set())
+            if op == "append_log":
+                entry = args[1]
+                if isinstance(entry, DentryEntry):
+                    names.add(entry.name)
+                elif isinstance(entry, WriteEntry):
+                    mapped.update(entry.page_ids)
+        elif op == "write_page":
+            written.add(args[0])
+        elif op == "journal_begin" and isinstance(args[0], RenameTxn):
+            txn = args[0]
+            for ino in (txn.src_dir, txn.dst_dir, txn.ino):
+                dirty.setdefault(ino, set())
+    return dirty if written <= mapped else None
+
+
+class SnapshotTree:
+    """What :func:`snapshot_with_content` keeps between the per-op
+    snapshots of one recording, so that each is advanced from the
+    previous one.  Pass one per recording, always with the same live
+    inode table and recording image."""
+
+    __slots__ = ("snap", "at", "paths", "seen")
+
+    def __init__(self):
+        #: The last snapshot returned (never mutated afterwards).
+        self.snap: Optional[Snapshot] = None
+        #: ``len(image.mutations)`` when ``snap`` was taken.
+        self.at = 0
+        #: ino -> every path whose dentry names it.
+        self.paths: Dict[int, Set[str]] = {}
+        #: visible directory ino -> its dentries as ``snap`` holds them.
+        self.seen: Dict[int, Dict[str, int]] = {}
+
+    def advance(self, inodes: Dict[int, MemInode], pages: dict, memo: dict,
+                dirty: Optional[Dict[int, Set[str]]]) -> Snapshot:
+        """The snapshot after the changes ``dirty`` (see
+        :func:`_dirty_inodes`) names; ``None``, or a tree never walked,
+        walks the whole tree."""
+        paths, seen = self.paths, self.seen
+        snap: Snapshot = {}
+
+        def add(path: str, ino: int) -> None:
+            paths.setdefault(ino, set()).add(path)
+            m = inodes.get(ino)
+            if m is None:
+                return
+            if m.kind is FileKind.DIR:
+                snap[path] = _DIR
+                fill(path, ino, m)
+            else:
+                snap[path] = ("file", m.size, _file_digest(m, pages, memo))
+
+        def fill(path: str, ino: int, m: MemInode) -> None:
+            seen[ino] = dict(m.dentries)
+            for name, child in m.dentries.items():
+                add(f"{path}/{name}", child)
+
+        def drop(path: str, ino: int) -> None:
+            named = paths[ino]
+            named.discard(path)
+            if not named:
+                del paths[ino]
+            snap.pop(path, None)
+            below = seen.pop(ino, None)
+            if below:
+                for name, child in below.items():
+                    drop(f"{path}/{name}", child)
+
+        if dirty is None or self.snap is None:
+            paths.clear()
+            seen.clear()
+            root = inodes.get(ROOT_INO)
+            if root is not None:
+                paths[ROOT_INO] = {""}
+                fill("", ROOT_INO, root)
+            return snap
+        if not dirty:
+            return self.snap
+        snap.update(self.snap)
+        # Update each changed directory's copy name by name, dropping
+        # every removed name's subtree before walking any added one: a
+        # renamed directory leaves its old path before it appears at
+        # its new one.
+        diffs = []
+        for d, names in dirty.items():
+            old = seen.get(d)
+            if old is not None:
+                m = inodes.get(d)
+                new = m.dentries if m is not None else {}
+                if new != old:
+                    diffs.append((d, old, new, names))
+        for d, old, new, names in diffs:
+            if seen.get(d) is old:
+                (path,) = paths[d]
+                for name in names:
+                    child = old.get(name)
+                    if child is not None and new.get(name) != child:
+                        del old[name]
+                        drop(f"{path}/{name}", child)
+        for d, old, new, names in diffs:
+            # Skipped when an ancestor's change dropped or re-walked d.
+            if seen.get(d) is old:
+                (path,) = paths[d]
+                for name in names:
+                    child = new.get(name)
+                    if child is not None and old.get(name) != child:
+                        old[name] = child
+                        add(f"{path}/{name}", child)
+                if old != new:  # a dentry changed without a log entry
+                    return self.advance(inodes, pages, memo, None)
+        for ino in dirty:
+            named = paths.get(ino)
+            m = inodes.get(ino)
+            if named and m is not None and m.kind is FileKind.FILE:
+                entry = ("file", m.size, _file_digest(m, pages, memo))
+                for path in named:
+                    snap[path] = entry
+        return snap
 
 
 def snapshot_with_content(inodes: Dict[int, MemInode], image: PMImage,
-                          digest_cache: Optional[dict] = None,
-                          content_memo: Optional[dict] = None) -> Snapshot:
+                          content_memo: Optional[dict] = None,
+                          tree: Optional[SnapshotTree] = None) -> Snapshot:
     """{path: ("dir"|"file", size, content-digest)} for the tree that
     the inode table ``inodes`` (a live filesystem's, or
     :func:`~repro.fs.recovery.recover`'s) spans over ``image``.
 
-    Two optional memos save re-hashing unchanged files:
+    A file's digest is a function of exactly the bytes
+    ``file_bytes(image, m, 0, m.size)`` returns, built from per-page
+    digests (see :func:`_file_digest`); snapshots only ever compare
+    digests for equality.  ``content_memo`` is the content-keyed digest
+    memo: one dict serves a whole sweep -- its recording and its crash
+    states alike -- because its keys hold the bytes a digest is a
+    function of, whatever image they came from.  Without one, a fresh
+    dict serves the call (hard links then hash once).
 
-    * ``digest_cache`` is ``{ino: ((size, layout_epoch), digest)}``.
-      Within one call a fresh cache always applies (hard links resolve
-      to one inode, whose content cannot change mid-walk).  Passing a
-      persistent dict across snapshots of the *same live fs* is sound
-      when (a) inode numbers are never reused (``PMImage.next_ino`` is
-      monotonic), and (b) every content change bumps the inode's
-      ``layout_epoch`` (write commit, truncate, recovery rebuild) --
-      the recording runner relies on this, but must not pass one when
-      media faults are in play (they corrupt page bytes without
-      touching the mapping).  Recovered inodes restart their epoch, so
-      this memo cannot serve across crash states.  It stays for the
-      recording runs' per-op snapshots, which revisit every file of a
-      live tree: its check is O(1) per file, where a ``content_memo``
-      key walks every mapped page (with that key alone, the recording
-      snapshots take ~1.5x as long).
-    * ``content_memo`` is ``{(size, pgoffs, page bytes): digest}``,
-      shared across the crash states of one sweep (``pgoffs`` are the
-      index's offsets, ``page bytes`` what each one maps to, in the
-      same order).  A file's digest is a function of its size and of
-      what each mapped offset reads, and the key holds exactly that:
-      the page *bytes* (or ``None``/``ELIDED``), not the page id.
-      Equal keys therefore hash equal content whatever image they came
-      from -- sound by construction when CoW recycles a page id for
-      new bytes and under media faults.  The bytes are the ones the
-      stream or journal already holds, and a ``bytes`` object caches
-      its hash, so a lookup costs one tuple hash over the file's
-      mapped pages.  The per-call ``digest_cache`` still runs first,
-      so hard links cost no key.
+    ``tree`` advances a recording's previous snapshot instead of
+    walking the whole tree: only the inodes that the image's journal
+    names since the previous call are revisited (see
+    :func:`_dirty_inodes`).  It needs a recording image; a snapshot
+    returned with a tree is shared with the tree, and must not be
+    mutated.
     """
-    out: Snapshot = {}
-    cache = {} if digest_cache is None else digest_cache
+    memo = {} if content_memo is None else content_memo
     pages = image.pages
+    if tree is not None:
+        if not image.recording:
+            raise ValueError("an incremental snapshot needs a recording "
+                             "image")
+        end = len(image.mutations)
+        dirty = (None if tree.snap is None
+                 else _dirty_inodes(image.mutations[tree.at:end]))
+        tree.snap = tree.advance(inodes, pages, memo, dirty)
+        tree.at = end
+        return tree.snap
+    out: Snapshot = {}
 
-    def digest(ino: int, m) -> str:
-        key = (m.size, m.layout_epoch)
-        hit = cache.get(ino)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        if content_memo is None:
-            value = _content_hash(image, m)
-        else:
-            index = m.index
-            ckey = (m.size, tuple(index),
-                    tuple([pages.get(pm.page_id) for pm in index.values()]))
-            value = content_memo.get(ckey)
-            if value is None:
-                value = content_memo[ckey] = _content_hash(image, m)
-        cache[ino] = (key, value)
-        return value
-
-    def walk(ino: int, prefix: str):
-        m = inodes.get(ino)
-        if m is None:
-            return
-        for name, child_ino in sorted(m.dentries.items()):
+    def walk(m: MemInode, prefix: str) -> None:
+        for name, child_ino in m.dentries.items():
             child = inodes.get(child_ino)
             if child is None:
                 continue
             path = f"{prefix}/{name}"
             if child.kind is FileKind.DIR:
-                out[path] = ("dir", 0, None)
-                walk(child_ino, path)
+                out[path] = _DIR
+                walk(child, path)
             else:
-                out[path] = ("file", child.size, digest(child_ino, child))
+                out[path] = ("file", child.size,
+                             _file_digest(child, pages, memo))
 
-    walk(ROOT_INO, "")
+    root = inodes.get(ROOT_INO)
+    if root is not None:
+        walk(root, "")
     return out
 
 
@@ -333,7 +510,8 @@ def _mechanism_checks(inodes: Dict[int, MemInode], img: PMImage,
 def _record_workload(kind: str, driver: Callable, iterations: int,
                      fault_plan: Optional[Callable] = None,
                      trace_oracles: bool = False, *,
-                     lines: bool = False, mutant: Optional[str] = None):
+                     lines: bool = False, mutant: Optional[str] = None,
+                     content_memo: Optional[dict] = None):
     """Run the workload once, recording mutations and the op oracle.
 
     ``fault_plan`` is a zero-argument factory returning a fresh
@@ -353,6 +531,10 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
     (see :data:`repro.core.easyio.CRASH_MUTANTS`) -- mutants require
     line recording, so callers enable it for page sweeps on mutants
     too (the sweep itself still only reads the mutation journal).
+
+    Each op's snapshot is advanced from the previous one (a
+    :class:`SnapshotTree`); ``content_memo`` is the sweep's digest memo
+    (a fresh one when omitted).
     """
     tracers: list = []
     scope = default_tracing(collect=tracers) if trace_oracles \
@@ -368,7 +550,6 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
         else:
             fs = make_fs(kind, platform, record=True)
     image = fs.image
-    media_faulty = False
     if fault_plan is not None:
         plan = fault_plan()
         if lines and plan.has_media_faults:
@@ -376,17 +557,13 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
                 "line-granularity recording cannot model media faults "
                 "(DMA payloads are journalled at submission); use the "
                 "page-granularity sweep for media-fault plans")
-        media_faulty = plan.has_media_faults
         plan.install(platform, image=image)
     if mutant is not None:
         from repro.core.easyio import install_crash_mutant
         install_crash_mutant(fs, mutant)
-    # Per-op snapshots of a live, growing tree re-hash mostly unchanged
-    # files; the epoch-keyed digest cache collapses those re-hashes.
-    # Media faults rewrite page bytes behind the mapping's back, so
-    # such plans fall back to per-snapshot caching (see
-    # snapshot_with_content's soundness contract).
-    digest_cache: Optional[dict] = None if media_faulty else {}
+    tree = SnapshotTree()
+    if content_memo is None:
+        content_memo = {}
     # oracle[i] = (start_idx, end_idx, snapshot after op i)
     oracle: List[Tuple[int, int, Snapshot]] = []
 
@@ -404,7 +581,7 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
             end = len(image.mutations)
             oracle.append((start, end,
                            snapshot_with_content(fs._mem, image,
-                                                 digest_cache)))
+                                                 content_memo, tree)))
             start = end
             if stream is not None:
                 send = stream.position()
@@ -477,14 +654,16 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
         raise ValueError(f"unknown granularity {granularity!r}")
     desc, driver, iterations = CRASH_WORKLOADS[workload]
     lines = granularity == "line" or mutant is not None
+    content_memo: dict = {}
     image, oracle = _record_workload(kind, driver, iterations, fault_plan,
                                      trace_oracles=trace_oracles,
-                                     lines=lines, mutant=mutant)
+                                     lines=lines, mutant=mutant,
+                                     content_memo=content_memo)
     validator_needed = kind in ("easyio", "naive")
     if granularity == "line":
         return _line_sweep(kind, workload, image, oracle, validator_needed,
                            per_signature=per_signature, budget=plan_budget,
-                           seed=plan_seed)
+                           seed=plan_seed, content_memo=content_memo)
     total = image.crash_points()
     if total < 2:
         raise RuntimeError(f"workload {workload} produced no mutations")
@@ -495,7 +674,6 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
 
     report = CrashReport(workload=workload, kind=kind,
                          total_crash_points=len(points), passed=0)
-    content_memo: dict = {}
     for k, img in _page_states(image, points):
         validator = (completion_buffer_validator(img)
                      if validator_needed else None)
@@ -526,12 +704,14 @@ def _page_states(image: PMImage, points: Sequence[int]):
 
 
 def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
-                per_signature, budget, seed) -> CrashReport:
+                per_signature, budget, seed,
+                content_memo: Optional[dict] = None) -> CrashReport:
     """Replay every pruned crash plan through :func:`check_plans`."""
     planner = CrashPlanner(image.linestream, per_signature=per_signature,
                            budget=budget, seed=seed)
     plans = planner.plans()
-    failures = check_plans(image.linestream, plans, oracle, validator_needed)
+    failures = check_plans(image.linestream, plans, oracle, validator_needed,
+                           content_memo)
     return CrashReport(workload=workload, kind=kind,
                        total_crash_points=len(plans),
                        passed=len(plans) - len(failures), failures=failures,
@@ -540,7 +720,8 @@ def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
 
 
 def check_plans(stream, plans, oracle: Sequence[Tuple[int, int, Snapshot]],
-                validator_needed: bool) -> List[CrashFailure]:
+                validator_needed: bool,
+                content_memo: Optional[dict] = None) -> List[CrashFailure]:
     """Check every crash plan's recovered state; one failure per
     failing plan.
 
@@ -548,10 +729,12 @@ def check_plans(stream, plans, oracle: Sequence[Tuple[int, int, Snapshot]],
     recovered from that image alone.  Then come the mechanism oracles
     and state legality against ``oracle`` over the plan's [lo, hi]
     op window.  ``validator_needed`` applies the completion-buffer SN
-    rule (EasyIO-format images).
+    rule (EasyIO-format images).  ``content_memo`` is the sweep's
+    digest memo (see :func:`snapshot_with_content`).
     """
     failures: List[CrashFailure] = []
-    content_memo: dict = {}
+    if content_memo is None:
+        content_memo = {}
     for plan in plans:
         img = replay_plan(stream, plan)
         validator = (completion_buffer_validator(img)

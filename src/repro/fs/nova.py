@@ -697,7 +697,9 @@ class NovaFS:
                 f"file lock ino{m.ino}: no budget left before acquire")
         event = (m.lock.acquire_write(timeout=timeout) if write
                  else m.lock.acquire_read(timeout=timeout))
-        racing = m.lock.queued
+        # A grant on the fast path found the waiter deque empty, so
+        # nobody races it: only a queued acquire scans the waiters.
+        racing = 0 if event.triggered else m.lock.queued
         try:
             yield from ctx.idle_wait(event)
         except WaitTimeout as exc:

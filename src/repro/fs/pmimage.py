@@ -340,8 +340,9 @@ def file_bytes(image: PMImage, m: MemInode, offset: int,
     inode is ``m``, as ``image`` holds them.
 
     Holes, unmapped pages and payload-less (``ELIDED``) pages read as
-    zeros.  The read pipelines, the CoW planner's edge-page merge and
-    the crash checks' content digests all read file data here.
+    zeros.  The read pipelines and the CoW planner's edge-page merge
+    read file data here; the crash checks' content digests are defined
+    as a function of exactly these bytes.
     """
     index, pages = m.index, image.pages
     out = bytearray()

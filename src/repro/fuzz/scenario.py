@@ -37,7 +37,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.crash.crashmonkey import check_plans, snapshot_with_content
+from repro.crash.crashmonkey import (SnapshotTree, check_plans,
+                                     snapshot_with_content)
 from repro.crash.plans import CrashPlanner
 from repro.fs.nova import DeadlineExceeded, FsError
 from repro.fs.pmimage import PMImage
@@ -165,7 +166,9 @@ def run_scenario(t: ScenarioTuple,
     outcomes: List[str] = []
     op_ids: List[Optional[int]] = []
     reads: List[Tuple[int, bytes]] = []
-    digest_cache: dict = {}
+    #: One digest memo for the recording and the crash checks.
+    content_memo: dict = {}
+    tree = SnapshotTree()
     #: (stream_start, stream_end, snapshot) per op (creates = op 0).
     oracle: List[Tuple[int, int, dict]] = []
     inos: List[int] = []
@@ -173,7 +176,8 @@ def run_scenario(t: ScenarioTuple,
     def record_op(sstart: int) -> int:
         send = stream.position() if stream is not None else 0
         oracle.append((sstart, send,
-                       snapshot_with_content(fs._mem, image, digest_cache)))
+                       snapshot_with_content(fs._mem, image, content_memo,
+                                             tree)))
         if stream is not None:
             stream.op_bounds.append((sstart, send))
         return send
@@ -271,7 +275,7 @@ def run_scenario(t: ScenarioTuple,
                                budget=t.crash.budget, seed=t.crash.seed)
         plans = planner.plans()
         for f in check_plans(stream, plans, oracle,
-                             t.kind in ("easyio", "naive")):
+                             t.kind in ("easyio", "naive"), content_memo):
             findings.append(Finding("crash", f.check, f.detail, f.plan))
         result.crash_plans = len(plans)
         result.raw_states = planner.raw_states

@@ -82,7 +82,7 @@ class TestContentMemo:
         plain = crashmonkey.snapshot_with_content
         monkeypatch.setattr(
             crashmonkey, "snapshot_with_content",
-            lambda inodes, image, digest_cache=None, content_memo=None:
+            lambda inodes, image, content_memo=None, tree=None:
             plain(inodes, image))
         assert sweep() == memoised
         assert memoised.all_passed == (mutant is None)

@@ -346,3 +346,101 @@ class TestConcurrency:
         fs.engine.run()
         # Shared lock: all three overlap, finishing within ~2x of one.
         assert max(ends) < min(ends) * 2.1
+
+
+def _scanning_acquire(self, ctx, m, write):
+    """``NovaFS._acquire_file_lock`` as it was before the fast-path
+    skip: every acquire scans the waiters.  The reference below."""
+    from repro.fs.nova import DeadlineExceeded
+    from repro.sim import WaitTimeout
+    t0 = self.engine.now
+    timeout = ctx.remaining()
+    if timeout is not None and timeout <= 0:
+        ctx._trace_abort(f"file lock ino{m.ino}")
+        raise DeadlineExceeded(
+            f"file lock ino{m.ino}: no budget left before acquire")
+    event = (m.lock.acquire_write(timeout=timeout) if write
+             else m.lock.acquire_read(timeout=timeout))
+    racing = m.lock.queued
+    try:
+        yield from ctx.idle_wait(event)
+    except WaitTimeout as exc:
+        ctx._trace_abort(f"file lock ino{m.ino}")
+        raise DeadlineExceeded(f"file lock ino{m.ino}: {exc}") from exc
+    yield ctx.charge("syscall", self.model.lock_cost)
+    contended = (self.engine.now > t0) or racing
+    ctx.lock_racing = max(1, racing) if contended else 0
+
+
+class TestFileLockRacingCount:
+    """A fast-path grant found no waiter, so ``_acquire_file_lock``
+    counts 0 racers there without scanning; a queued acquire still
+    scans.  The charged count must equal the scan's every time."""
+
+    @staticmethod
+    def _run(monkeypatch, acquire, writers, deadline_ns):
+        """Run the scenario under ``acquire``; returns what each acquire
+        charged, every op's outcome, and the number of waiter scans."""
+        from repro.fs.nova import DeadlineExceeded
+        from repro.sim import RWLock
+        scans = []
+        scan = RWLock.queued.fget
+        monkeypatch.setattr(RWLock, "queued",
+                            property(lambda lock: scans.append(1)
+                                     or scan(lock)))
+        charged = []
+
+        def recorded(self, ctx, m, write):
+            yield from acquire(self, ctx, m, write)
+            charged.append((self.engine.now, write, ctx.lock_racing))
+
+        monkeypatch.setattr(NovaFS, "_acquire_file_lock", recorded)
+        fs = NovaFS(Platform(PlatformConfig.single_node()),
+                    PMImage()).mount()
+        ino = do(fs, fs.create(fs.context(), "/a"))
+        outcomes = []
+
+        def client(i):
+            for j in range(3):
+                if i % 3 == 2:
+                    op = fs.read(fs.context(), ino, 0, 4 * PAGE_SIZE)
+                else:
+                    deadline = (None if deadline_ns is None
+                                else fs.engine.now + deadline_ns)
+                    op = fs.write(fs.context(deadline=deadline), ino,
+                                  (i + j) * PAGE_SIZE, 4 * PAGE_SIZE)
+                try:
+                    yield from op
+                    outcomes.append((i, j, "ok"))
+                except DeadlineExceeded:
+                    outcomes.append((i, j, "deadline"))
+
+        for i in range(writers):
+            fs.engine.process(client(i))
+        fs.engine.run()
+        return charged, outcomes, len(scans), fs.engine.now
+
+    @pytest.mark.parametrize("writers,deadline_ns", [
+        (1, None),       # uncontended: every acquire on the fast path
+        (6, None),       # contended readers and writers
+        (6, 3_000),      # contended, with timed-out (cancelled) waiters
+    ])
+    def test_count_matches_the_scan(self, monkeypatch, writers,
+                                    deadline_ns):
+        new = self._run(monkeypatch, NovaFS._acquire_file_lock, writers,
+                        deadline_ns)
+        ref = self._run(monkeypatch, _scanning_acquire, writers,
+                        deadline_ns)
+        charged, outcomes, scans, _end = new
+        assert (charged, outcomes, new[3]) == (ref[0], ref[1], ref[3])
+        # The reference scans on every acquire; only queued ones still do.
+        assert ref[2] == len(charged) + sum(
+            o == "deadline" for _i, _j, o in outcomes)
+        if writers == 1:
+            assert scans == 0
+        else:
+            assert 0 < scans < ref[2]
+            assert any(racing > 1 for _t, _w, racing in charged)
+        if deadline_ns is not None:
+            assert any(o == "deadline" for _i, _j, o in outcomes)
+            assert any(o == "ok" for _i, _j, o in outcomes)
