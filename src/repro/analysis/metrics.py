@@ -67,10 +67,9 @@ class OverloadStats:
 class LatencySeries:
     """A collection of latency samples (ns) with percentile queries."""
 
-    __slots__ = ("name", "samples", "_sorted")
+    __slots__ = ("samples", "_sorted")
 
-    def __init__(self, name: str = "latency"):
-        self.name = name
+    def __init__(self):
         self.samples: List[int] = []
         # Sorted view, maintained lazily: a query after a few appends
         # insorts just the new tail; a query after many appends (or
@@ -175,8 +174,7 @@ class ThroughputMeter:
 class Timeline:
     """(time, value) samples for latency-over-time figures (4 and 12)."""
 
-    def __init__(self, name: str = "timeline"):
-        self.name = name
+    def __init__(self):
         self.points: List[Tuple[int, float]] = []
 
     def record(self, t: int, value: float) -> None:

@@ -120,7 +120,6 @@ class ChannelManager:
         if probe_interval_ns <= 0 or reset_delay_ns < 0:
             raise ValueError("probe_interval_ns must be positive and "
                              "reset_delay_ns non-negative")
-        self.platform = platform
         self.engine = platform.engine
         self.model = platform.model
         dma = platform.dma
@@ -247,8 +246,7 @@ class ChannelManager:
                 return
             if ch.halted:
                 continue  # reset still pending
-            probe = DmaDescriptor(4096, write=True,
-                                  tag=("probe", ch.channel_id))
+            probe = DmaDescriptor(4096, write=True)
             if not ch.try_submit_one(probe):
                 continue  # ring full; try again next interval
             yield probe.done

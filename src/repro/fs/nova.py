@@ -67,13 +67,12 @@ class OpContext:
 
     PHASES = ("metadata", "memcpy", "indexing", "syscall", "wait")
 
-    __slots__ = ("platform", "engine", "core", "record", "_breakdown",
+    __slots__ = ("engine", "core", "record", "_breakdown",
                  "cpu_ns", "app", "lock_racing", "deadline",
                  "force_sync", "op_id", "_tracer")
 
     def __init__(self, platform: Platform, core=None, record: bool = True,
                  deadline: Optional[int] = None):
-        self.platform = platform
         self.engine = platform.engine
         self.core = core
         self.record = record
@@ -383,6 +382,8 @@ class NovaFS:
             if ino is None:
                 raise FsError(f"no such file: {path!r}")
             target = self.minode(ino)
+            if target.kind is FileKind.DIR and target.dentries:
+                raise FsError(f"directory not empty: {path!r}")
             yield from self._append_commit(
                 ctx, parent,
                 DentryEntry(name, ino, target.kind, valid=False,

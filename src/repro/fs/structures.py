@@ -180,17 +180,15 @@ class MemInode:
     # it creates the inode (it needs the engine).  None after recovery,
     # whose inode table is checked, never run.
     lock: Optional[object] = None
-    #: Bumped on every block-mapping change (write commit, truncate,
-    #: recovery rebuild); read-plan memo entries from older epochs are
-    #: dead.  Purely a performance device -- never persisted.
-    layout_epoch: int = 0
-    #: (pgoff, npages) -> cached extent-run list for ``layout_epoch``.
+    #: (pgoff, npages) -> cached extent-run list for the current block
+    #: mapping; cleared on every block-mapping change (write commit,
+    #: truncate, recovery rebuild).  Purely a performance device --
+    #: never persisted.
     _runs_cache: Dict[Tuple[int, int], list] = field(
         default_factory=dict, repr=False)
 
     def bump_layout_epoch(self) -> None:
         """Invalidate cached read plans after a block-mapping change."""
-        self.layout_epoch += 1
         self._runs_cache.clear()
 
     def extent_runs(self, pgoff: int, npages: int):

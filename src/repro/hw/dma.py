@@ -70,22 +70,18 @@ class DmaDescriptor:
         inspects ``status`` to tell success from failure.
     """
 
-    __slots__ = ("nbytes", "write", "tag", "done", "sn", "pipelined",
-                 "submitted_at", "completed_at", "on_complete",
-                 "status", "error")
+    __slots__ = ("nbytes", "write", "done", "sn", "pipelined",
+                 "on_complete", "status", "error")
 
-    def __init__(self, nbytes: int, write: bool, tag: object = None,
+    def __init__(self, nbytes: int, write: bool,
                  on_complete: Optional[Callable[["DmaDescriptor"], None]] = None):
         if nbytes <= 0:
             raise ValueError(f"descriptor payload must be positive, got {nbytes}")
         self.nbytes = nbytes
         self.write = write
-        self.tag = tag
         self.done: Optional[Event] = None
         self.sn: Optional[int] = None
         self.pipelined = False
-        self.submitted_at: Optional[int] = None
-        self.completed_at: Optional[int] = None
         #: Invoked by the engine when the payload has landed, *before*
         #: the completion buffer is bumped -- the DMA writes its data,
         #: then claims completion.  EasyIO hooks page persistence here.
@@ -127,8 +123,6 @@ class DmaChannel:
         #: Every SN that failed or was stranded on this channel
         #: (volatile mirror; EasyIO persists them via on_error/on_reset).
         self.error_sns: set = set()
-        self.errors = 0
-        self.halts = 0
         self.resets = 0
         #: Installed FaultPlan (or None for perfect hardware); read
         #: per descriptor, so a plan installed mid-flight applies to
@@ -150,8 +144,7 @@ class DmaChannel:
         self.owner_engine: Optional["DmaEngine"] = None
         #: Trace track name (repro.obs): one row per channel.
         self._track = f"ch{channel_id}"
-        self._server = engine.process(self._service_loop(),
-                                      name=f"dma-ch{channel_id}")
+        engine.process(self._service_loop(), name=f"dma-ch{channel_id}")
 
     # -- software-visible state ----------------------------------------
     @property
@@ -209,7 +202,6 @@ class DmaChannel:
         for i, desc in enumerate(descriptors):
             desc.pipelined = i > 0
             desc.done = self.engine.event()
-            desc.submitted_at = self.engine.now
             self._submitted_total += 1
             desc.sn = self._submitted_total
             self._queued += 1
@@ -242,7 +234,6 @@ class DmaChannel:
             return False
         desc.pipelined = False
         desc.done = self.engine.event()
-        desc.submitted_at = self.engine.now
         self._submitted_total += 1
         desc.sn = self._submitted_total
         self._queued += 1
@@ -362,7 +353,7 @@ class DmaChannel:
                 rate = min(rate, owner.claim_share())
             try:
                 yield self.memory.dma_transfer(desc.nbytes, desc.write, rate,
-                                               tag=self.channel_id)
+                                               self.channel_id)
             finally:
                 if owner is not None:
                     owner.release_share()
@@ -377,7 +368,6 @@ class DmaChannel:
             self.bytes_moved += desc.nbytes
             self.descriptors_completed += 1
             desc.status = "ok"
-            desc.completed_at = self.engine.now
             tr = self.engine.tracer
             if tr is not None:
                 tr.point("dma_complete", track=self._track, sn=desc.sn)
@@ -401,7 +391,6 @@ class DmaChannel:
         desc.status = "error"
         desc.error = fault
         self._queued -= 1
-        self.errors += 1
         self.error_sns.add(desc.sn)
         halting = fault == "chan_halt"
         tr = self.engine.tracer
@@ -413,7 +402,6 @@ class DmaChannel:
             self._halt_gate.close()
             self.error_sn = desc.sn
             self.chanerr = fault
-            self.halts += 1
         if self.on_error is not None:
             self.on_error(self, (desc.sn,))
         desc.done.succeed(desc)
@@ -426,10 +414,6 @@ class DmaEngine:
 
     def __init__(self, engine: Engine, model: CostModel, memory: SlowMemory,
                  num_channels: Optional[int] = None, sockets: int = 1):
-        self.engine = engine
-        self.model = model
-        self.memory = memory
-        self.sockets = sockets
         n = num_channels if num_channels is not None else model.dma_channels_per_socket
         if n < 1:
             raise ValueError(f"need at least one DMA channel, got {n}")

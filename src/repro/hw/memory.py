@@ -41,25 +41,25 @@ DELEGATION_GROUP = "delegation"
 class PoolFlow:
     """One in-flight transfer inside a :class:`BandwidthPool`."""
 
-    __slots__ = ("nbytes", "remaining", "cap", "group", "tag",
-                 "event", "rate", "started_at", "shape_id")
+    __slots__ = ("nbytes", "remaining", "cap", "group", "channel",
+                 "event", "rate", "shape_id")
 
-    def __init__(self, nbytes: int, cap: float, group: str, tag: object,
-                 event: Event, now: int, shape_id: Optional[int] = None):
+    def __init__(self, nbytes: int, cap: float, group: str,
+                 channel: Optional[int], event: Event, shape_id: int):
         self.nbytes = nbytes
         self.remaining = float(nbytes)
         self.cap = cap
         self.group = group
-        self.tag = tag
+        #: The DMA channel moving the bytes; None for CPU and
+        #: delegation flows.
+        self.channel = channel
         self.event = event
         self.rate = 0.0
-        self.started_at = now
-        #: The pool's interned id of ``(group, cap, tag)``; None when the
-        #: tag is unhashable (the allocation is then computed uncached).
+        #: The pool's interned id of ``(group, cap, channel)``.
         self.shape_id = shape_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PoolFlow {self.group}/{self.tag} {self.remaining:.0f}B"
+        return (f"<PoolFlow {self.group}/{self.channel} {self.remaining:.0f}B"
                 f" @ {self.rate:.2f}B/ns>")
 
 
@@ -154,7 +154,7 @@ class BandwidthPool:
         self._wakeup: Optional[Event] = None
         #: Memoised flow-shape key -> rate list (see _allocate_rates).
         self._alloc_cache: dict = {}
-        #: Interned flow shapes ``(group, cap, tag)`` -> small int ids,
+        #: Interned flow shapes ``(group, cap, channel)`` -> small int ids,
         #: so a memo key is a tuple of ints.  Ids are never reused
         #: (``_next_shape_id`` only grows), so dropping the table can
         #: cost cache misses but never aliases two shapes.
@@ -184,11 +184,12 @@ class BandwidthPool:
         self._rebalance()
 
     def transfer(self, nbytes: int, cap: float, group: str = CPU_GROUP,
-                 tag: object = None) -> Event:
+                 channel: Optional[int] = None) -> Event:
         """Start a transfer; the returned event fires when it finishes.
 
         ``cap`` is the initiator's own rate limit (per-core or
-        per-channel), ``group`` selects the capacity class.
+        per-channel), ``group`` selects the capacity class, and
+        ``channel`` names the DMA channel (None otherwise).
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -197,21 +198,18 @@ class BandwidthPool:
             event.succeed(0)
             return event
         self._advance()
-        self._flows.append(PoolFlow(nbytes, cap, group, tag, event,
-                                    self.engine.now,
-                                    self._shape_id(group, cap, tag)))
+        self._flows.append(PoolFlow(nbytes, cap, group, channel, event,
+                                    self._shape_id(group, cap, channel)))
         self._rebalance()
         return event
 
     # -- internals -------------------------------------------------------
-    def _shape_id(self, group: str, cap: float, tag: object) -> Optional[int]:
-        """The interned id of one flow shape; None for an unhashable tag."""
-        shape = (group, cap, tag)
+    def _shape_id(self, group: str, cap: float,
+                  channel: Optional[int]) -> int:
+        """The interned id of one flow shape."""
+        shape = (group, cap, channel)
         ids = self._shape_ids
-        try:
-            sid = ids.get(shape)
-        except TypeError:
-            return None
+        sid = ids.get(shape)
         if sid is None:
             if len(ids) >= _WATERFILL_CACHE_MAX:
                 ids.clear()
@@ -277,19 +275,17 @@ class BandwidthPool:
         group.
 
         The allocation is a pure function of the flow-set shape --
-        ``(group, cap, tag)`` per flow plus the pool capacity (tags are
-        included because capacity policies may count distinct tags,
-        e.g. active DMA write channels) -- and benchmark steady state
+        ``(group, cap, channel)`` per flow plus the pool capacity (the
+        channel is included because the write policy counts distinct
+        active DMA write channels) -- and benchmark steady state
         cycles through a handful of shapes, so results are memoised
         per pool under the flows' interned shape ids.  The returned
         list may be the cached one: never mutate it.
         """
-        ids = tuple([f.shape_id for f in flows])
-        key = None if None in ids else (self.capacity, ids)
-        if key is not None:
-            rates = self._alloc_cache.get(key)
-            if rates is not None:
-                return rates
+        key = (self.capacity, tuple([f.shape_id for f in flows]))
+        rates = self._alloc_cache.get(key)
+        if rates is not None:
+            return rates
         members: Dict[str, List[int]] = {}
         for i, flow in enumerate(flows):
             members.setdefault(flow.group, []).append(i)
@@ -309,10 +305,9 @@ class BandwidthPool:
                                 grate)
             for i, rate in zip(ix, shares):
                 rates[i] = rate
-        if key is not None:
-            if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
-                self._alloc_cache.clear()
-            self._alloc_cache[key] = rates
+        if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
+            self._alloc_cache.clear()
+        self._alloc_cache[key] = rates
         return rates
 
 
@@ -321,9 +316,10 @@ class SlowMemory:
 
     Exposes the two operations the rest of the system uses:
 
-    * :meth:`cpu_copy` -- a CPU core moving bytes synchronously
-      (blocks the calling process for the whole transfer, which is
-      exactly the CPU cost the paper wants to eliminate), and
+    * :meth:`cpu_copy` -- a CPU core (or a delegation thread) moving
+      bytes synchronously (blocks the calling process for the whole
+      transfer, which is exactly the CPU cost the paper wants to
+      eliminate), and
     * :meth:`dma_transfer` -- raw pool access for the DMA engine.
     """
 
@@ -332,7 +328,6 @@ class SlowMemory:
         self.engine = engine
         self.model = model
         self.dimms = dimms
-        self.name = name
         self.read_pool = BandwidthPool(
             engine, f"{name}.read", model.pm_read_peak(dimms),
             group_cap_fn=self._read_group_caps)
@@ -357,9 +352,8 @@ class SlowMemory:
 
     # -- capacity policies (the calibrated asymmetries live here) ------
     def _active_write_channels(self) -> int:
-        """Distinct DMA channels with an in-flight write (their tag is
-        the channel id)."""
-        return len({f.tag for f in self.write_pool._flows
+        """Distinct DMA channels with an in-flight write."""
+        return len({f.channel for f in self.write_pool._flows
                     if f.group == DMA_GROUP})
 
     def _read_group_caps(self, counts: Dict[str, int]) -> Dict[str, float]:
@@ -374,46 +368,32 @@ class SlowMemory:
         }
 
     # -- transfer API ----------------------------------------------------
-    def cpu_copy(self, nbytes: int, write: bool, tag: object = None):
+    def cpu_copy(self, nbytes: int, write: bool, group: str = CPU_GROUP):
         """Process generator: a CPU core copies ``nbytes`` synchronously.
 
         The caller (a simulated core/thread) is blocked -- i.e. burning
         CPU -- for the full duration: fixed call overhead, the device
-        access latency, then the bandwidth-shared transfer.
+        access latency, then the bandwidth-shared transfer.  A
+        delegation thread (Odinfs-style) passes ``DELEGATION_GROUP``:
+        same CPU burn, but its sequential NUMA-local streaming access
+        sidesteps the many-writer collapse -- the property Odinfs's
+        delegation design exploits.
         """
         model = self.model
         yield self.engine.sleep(model.cpu_copy_op_overhead)
         if write:
             yield self.engine.sleep(model.pm_write_latency)
             yield self.write_pool.transfer(
-                nbytes, model.cpu_copy_write_rate, CPU_GROUP, tag)
+                nbytes, model.cpu_copy_write_rate, group)
         else:
             yield self.engine.sleep(model.pm_read_latency)
             yield self.read_pool.transfer(
-                nbytes, model.cpu_copy_read_rate, CPU_GROUP, tag)
+                nbytes, model.cpu_copy_read_rate, group)
         return nbytes
 
     def dma_transfer(self, nbytes: int, write: bool, channel_rate: float,
-                     tag: object = None) -> Event:
-        """Start a DMA-class transfer; returns its completion event."""
+                     channel: int) -> Event:
+        """Start a DMA-class transfer on ``channel``; returns its
+        completion event."""
         pool = self.write_pool if write else self.read_pool
-        return pool.transfer(nbytes, channel_rate, DMA_GROUP, tag)
-
-    def delegated_copy(self, nbytes: int, write: bool, tag: object = None):
-        """A delegation thread (Odinfs-style) copies ``nbytes``.
-
-        Same CPU burn as :meth:`cpu_copy`, but the sequential NUMA-local
-        streaming access pattern sidesteps the many-writer collapse --
-        the property Odinfs's delegation design exploits.
-        """
-        model = self.model
-        yield self.engine.sleep(model.cpu_copy_op_overhead)
-        if write:
-            yield self.engine.sleep(model.pm_write_latency)
-            yield self.write_pool.transfer(
-                nbytes, model.cpu_copy_write_rate, DELEGATION_GROUP, tag)
-        else:
-            yield self.engine.sleep(model.pm_read_latency)
-            yield self.read_pool.transfer(
-                nbytes, model.cpu_copy_read_rate, DELEGATION_GROUP, tag)
-        return nbytes
+        return pool.transfer(nbytes, channel_rate, DMA_GROUP, channel)

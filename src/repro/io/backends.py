@@ -28,6 +28,7 @@ from typing import List
 
 from repro.fs.structures import PAGE_SIZE
 from repro.hw.dma import DmaDescriptor
+from repro.hw.memory import DELEGATION_GROUP
 from repro.io.plan import IoPlan
 from repro.io.supervision import DmaJob
 from repro.sim import Store
@@ -44,8 +45,7 @@ class MemcpyBackend:
         """One CPU copy per contiguous run, then persist the pages."""
         for run_bytes in plan.run_sizes:
             yield from ctx.timed_cpu(
-                "memcpy", self.memory.cpu_copy(run_bytes, write=True,
-                                               tag=plan.tag))
+                "memcpy", self.memory.cpu_copy(run_bytes, write=True))
         self.persister.persist(plan.page_ids, plan.contents)
 
     def read(self, ctx, plan: IoPlan):
@@ -53,9 +53,7 @@ class MemcpyBackend:
         for extent in plan.extents:
             if extent.page_ids:
                 yield from ctx.timed_cpu(
-                    "memcpy", self.memory.cpu_copy(extent.nbytes,
-                                                   write=False,
-                                                   tag=plan.tag))
+                    "memcpy", self.memory.cpu_copy(extent.nbytes, write=False))
 
 
 class DmaPollBackend:
@@ -103,12 +101,11 @@ class DmaPollBackend:
             self.fs.memcpy_ops += 1
             for run_bytes in plan.run_sizes:
                 yield from ctx.timed_cpu(
-                    "memcpy", self.memory.cpu_copy(run_bytes, write=True,
-                                                   tag=plan.tag))
+                    "memcpy", self.memory.cpu_copy(run_bytes, write=True))
         else:
             self.fs.dma_writes += 1
             channel = self._pick_channel()
-            descs = [DmaDescriptor(run_bytes, write=True, tag=plan.tag)
+            descs = [DmaDescriptor(run_bytes, write=True)
                      for run_bytes in plan.run_sizes]
             yield from ctx.timed_cpu("memcpy", channel.submit_all(descs))
             yield from self._busy_poll(ctx, descs)
@@ -123,12 +120,11 @@ class DmaPollBackend:
             if run_bytes <= self.offload_threshold:
                 self.fs.memcpy_ops += 1
                 yield from ctx.timed_cpu(
-                    "memcpy", self.memory.cpu_copy(run_bytes, write=False,
-                                                   tag=plan.tag))
+                    "memcpy", self.memory.cpu_copy(run_bytes, write=False))
             else:
                 self.fs.dma_reads += 1
                 channel = self._pick_channel()
-                desc = DmaDescriptor(run_bytes, write=False, tag=plan.tag)
+                desc = DmaDescriptor(run_bytes, write=False)
                 yield from ctx.timed_cpu("memcpy", channel.submit([desc]))
                 yield from self._busy_poll(ctx, [desc])
 
@@ -170,7 +166,7 @@ class DmaAsyncBackend:
                 take = chunk // PAGE_SIZE
                 chunk_pids, pids = pids[:take], pids[take:]
                 chunk_contents, contents = contents[:take], contents[take:]
-                desc = DmaDescriptor(chunk, write=True, tag=plan.tag)
+                desc = DmaDescriptor(chunk, write=True)
                 desc.on_complete = self.persister.on_complete(
                     chunk_pids, chunk_contents)
                 jobs.append(DmaJob(desc, channel, write=True,
@@ -203,14 +199,13 @@ class DmaAsyncBackend:
             if channel is None:
                 self.fs.memcpy_reads += 1
                 yield from ctx.timed_cpu(
-                    "memcpy", self.memory.cpu_copy(run_bytes, write=False,
-                                                   tag=plan.tag))
+                    "memcpy", self.memory.cpu_copy(run_bytes, write=False))
             else:
                 self.fs.dma_reads += 1
                 # B-apps' bulk reads are split to 64 KB like their
                 # writes, so a channel suspension never wastes a
                 # large in-flight transfer (§4.4).
-                descs = [DmaDescriptor(chunk, write=False, tag=plan.tag)
+                descs = [DmaDescriptor(chunk, write=False)
                          for chunk in self.cm.split(ctx.app, run_bytes)]
                 yield from ctx.timed_cpu("memcpy", channel.submit_all(descs))
                 jobs.extend(DmaJob(d, channel, write=False)
@@ -221,12 +216,11 @@ class DmaAsyncBackend:
 class DelegationRequest:
     """One chunk handed to a delegation thread."""
 
-    __slots__ = ("nbytes", "write", "done", "tag")
+    __slots__ = ("nbytes", "write", "done")
 
-    def __init__(self, engine, nbytes: int, write: bool, tag):
+    def __init__(self, engine, nbytes: int, write: bool):
         self.nbytes = nbytes
         self.write = write
-        self.tag = tag
         self.done = engine.event()
 
 
@@ -237,7 +231,6 @@ class DelegationThread:
         self.backend = backend
         self.core = core
         self.queue = Store(backend.engine)
-        self.bytes_moved = 0
         backend.engine.process(self._loop(),
                                name=f"odinfs-dg{core.core_id}")
 
@@ -246,11 +239,10 @@ class DelegationThread:
             req = yield self.queue.get()
             self.core.mark_busy("odinfs-delegation")
             try:
-                yield from self.backend.memory.delegated_copy(
-                    req.nbytes, write=req.write, tag=req.tag)
+                yield from self.backend.memory.cpu_copy(
+                    req.nbytes, req.write, DELEGATION_GROUP)
             finally:
                 self.core.mark_idle()
-            self.bytes_moved += req.nbytes
             req.done.succeed()
 
 
@@ -272,7 +264,7 @@ class DelegationBackend:
         self._rr = 0
         self.requests_delegated = 0
 
-    def transfer(self, ctx, nbytes: int, write: bool, tag):
+    def transfer(self, ctx, nbytes: int, write: bool):
         """Split, fan out round-robin, park until all chunks land."""
         chunk = self.model.delegation_chunk
         sizes = [chunk] * (nbytes // chunk)
@@ -285,7 +277,7 @@ class DelegationBackend:
                                   self.model.delegation_dispatch_cost)
             thread = self.threads[self._rr % len(self.threads)]
             self._rr += 1
-            req = DelegationRequest(self.engine, size, write, tag)
+            req = DelegationRequest(self.engine, size, write)
             thread.queue.put(req)
             events.append(req.done)
             self.requests_delegated += 1
@@ -302,11 +294,11 @@ class DelegationBackend:
 
     def write(self, ctx, plan: IoPlan):
         """Delegate the logical write, then persist the CoW pages."""
-        yield from self.transfer(ctx, plan.nbytes, True, plan.tag)
+        yield from self.transfer(ctx, plan.nbytes, True)
         self.persister.persist(plan.page_ids, plan.contents)
 
     def read(self, ctx, plan: IoPlan):
         """Delegate the read's total mapped bytes as one batch."""
         total = plan.mapped_bytes
         if total:
-            yield from self.transfer(ctx, total, False, plan.tag)
+            yield from self.transfer(ctx, total, False)

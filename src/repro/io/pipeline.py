@@ -57,7 +57,7 @@ class SyncWritePipeline:
             try:
                 prep = yield from fs.planner.prepare_cow(ctx, m, offset,
                                                          nbytes, payload)
-                plan = fs.planner.write_plan(m, prep)
+                plan = fs.planner.write_plan(prep)
             finally:
                 ctx.trace_end("plan")
             # Data pages first (strict order)...
@@ -83,8 +83,7 @@ class SyncReadPipeline:
     def run(self, ctx, m, offset: int, nbytes: int, runs, want_data: bool):
         fs = self.fs
         try:
-            plan = fs.planner.read_plan_from_runs(m.ino, offset, nbytes,
-                                                  runs)
+            plan = fs.planner.read_plan_from_runs(offset, nbytes, runs)
             ctx.trace_begin("copy")
             try:
                 yield from self.backend.read(ctx, plan)
@@ -144,7 +143,7 @@ class OrderlessWritePipeline:
                     fs.fault_stats.degraded_writes += 1
                     fs.fault_stats.degraded_bytes += nbytes
                 fs.memcpy_writes += 1
-                plan = fs.planner.write_plan(m, prep)
+                plan = fs.planner.write_plan(prep)
                 ctx.trace_begin("copy")
                 try:
                     yield from self.fallback.write(ctx, plan)
@@ -155,7 +154,7 @@ class OrderlessWritePipeline:
                 m.pending_done = None
                 return OpResult(value=nbytes, ctx=ctx)
             fs.dma_writes += 1
-            plan = fs.planner.write_plan(m, prep)
+            plan = fs.planner.write_plan(prep)
             ctx.trace_begin("submit")
             try:
                 jobs = yield from self.backend.submit_write(ctx, plan,
@@ -217,7 +216,7 @@ class OrderedAsyncWritePipeline:
         if not fs.cm.should_offload_write(nbytes):
             try:
                 fs.memcpy_writes += 1
-                plan = fs.planner.write_plan(m, prep)
+                plan = fs.planner.write_plan(prep)
                 ctx.trace_begin("copy")
                 try:
                     yield from self.fallback.write(ctx, plan)
@@ -228,7 +227,7 @@ class OrderedAsyncWritePipeline:
                 m.lock.release_write()
             return OpResult(value=nbytes, ctx=ctx)
         fs.dma_writes += 1
-        plan = fs.planner.write_plan(m, prep)
+        plan = fs.planner.write_plan(prep)
         ctx.trace_begin("submit")
         try:
             jobs = yield from self.backend.submit_write(ctx, plan)
@@ -270,8 +269,7 @@ class AsyncReadPipeline:
             force_sync = fs._forces_sync(ctx)
             if force_sync and any(pages for _off, pages in runs):
                 fs.overload_stats.degraded_to_sync += 1
-            plan = fs.planner.read_plan_from_runs(m.ino, offset, nbytes,
-                                                  runs)
+            plan = fs.planner.read_plan_from_runs(offset, nbytes, runs)
             ctx.trace_begin("submit")
             try:
                 jobs = yield from self.backend.read(ctx, plan, force_sync)

@@ -118,7 +118,6 @@ class IoPlan:
     """A backend-neutral description of one operation's data movement."""
 
     write: bool
-    ino: int
     offset: int
     nbytes: int                 # the operation's logical byte count
     extents: List[Extent]
@@ -147,11 +146,6 @@ class IoPlan:
             if e.contents is not None:
                 out.extend(e.contents)
         return out
-
-    @property
-    def tag(self) -> tuple:
-        """The memory-accounting tag the legacy data paths used."""
-        return ("w" if self.write else "r", self.ino)
 
 
 @dataclass
@@ -212,8 +206,7 @@ class IoPlanner:
             merge_bytes += tail_cut
         if merge_bytes:
             yield from ctx.timed_cpu(
-                "memcpy", fs.memory.cpu_copy(merge_bytes, write=True,
-                                             tag=("merge", m.ino)))
+                "memcpy", fs.memory.cpu_copy(merge_bytes, write=True))
         contents: List[Any] = []
         if payload is None:
             contents = [ELIDED] * npages
@@ -242,14 +235,14 @@ class IoPlanner:
         return CowPrep(pgoff, page_ids, contents, old_pages,
                        size_after, sizes, nbytes, offset)
 
-    def write_plan(self, m, prep: CowPrep) -> IoPlan:
+    def write_plan(self, prep: CowPrep) -> IoPlan:
         """The write's IoPlan: contiguous runs of the new CoW pages."""
         extents: List[Extent] = []
         off = prep.pgoff
         for ids, cts in contiguous_runs(prep.page_ids, prep.contents):
             extents.append(Extent(off, tuple(ids), tuple(cts)))
             off += len(ids)
-        return IoPlan(write=True, ino=m.ino, offset=prep.offset,
+        return IoPlan(write=True, offset=prep.offset,
                       nbytes=prep.nbytes, extents=extents)
 
     # ------------------------------------------------------------------
@@ -259,12 +252,11 @@ class IoPlanner:
         pgoff = offset // PAGE_SIZE
         last = (offset + nbytes - 1) // PAGE_SIZE
         runs = extent_runs(m.index, pgoff, last - pgoff + 1)
-        return self.read_plan_from_runs(m.ino, offset, nbytes, runs)
+        return self.read_plan_from_runs(offset, nbytes, runs)
 
     @staticmethod
-    def read_plan_from_runs(ino: int, offset: int, nbytes: int,
-                            runs) -> IoPlan:
+    def read_plan_from_runs(offset: int, nbytes: int, runs) -> IoPlan:
         """Wrap already-computed ``(pgoff, pages)`` runs as an IoPlan."""
         extents = [Extent(off, tuple(pages)) for off, pages in runs]
-        return IoPlan(write=False, ino=ino, offset=offset, nbytes=nbytes,
+        return IoPlan(write=False, offset=offset, nbytes=nbytes,
                       extents=extents)

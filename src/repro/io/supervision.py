@@ -169,7 +169,7 @@ class FaultSupervisor:
                 stats.retries += 1
                 if target is not j.channel:
                     stats.failovers += 1
-                redo = DmaDescriptor(j.nbytes, write=j.write, tag=j.desc.tag)
+                redo = DmaDescriptor(j.nbytes, write=j.write)
                 if j.write:
                     redo.on_complete = self.persister.on_complete(
                         j.pids, j.contents)
@@ -196,8 +196,7 @@ class FaultSupervisor:
         if tr is not None:
             tr.point("degrade", track="fs", ino=ino, sn=j.desc.sn,
                      ch=j.channel.channel_id, write=j.write)
-        yield from self.memory.cpu_copy(j.nbytes, write=j.write,
-                                        tag=("degrade", ino))
+        yield from self.memory.cpu_copy(j.nbytes, write=j.write)
         if j.write:
             if self.mutant_reorder_amend:
                 self._deferred_persists.append((j.pids, j.contents))

@@ -115,7 +115,7 @@ class LeaseService:
         self.holder: Optional[Any] = None
         self.epoch = 0
         self.expires = 0
-        self.proc = self.engine.process(self._main(), name="lease-service")
+        self.engine.process(self._main(), name="lease-service")
 
     def _main(self):
         cfg = self.cfg
@@ -168,7 +168,7 @@ class Cluster:
         self.nodes: Dict[int, ReplicaNode] = {}
         for nid in self.node_ids:
             self.nodes[nid] = ReplicaNode(self, nid)
-        self.lease = LeaseService(self)
+        LeaseService(self)
         #: (t, epoch, node, expires) per new-holder grant.
         self.lease_log: List[Tuple] = []
         #: (t, node, epoch) per completed failover (primary took over).

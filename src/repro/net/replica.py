@@ -197,8 +197,7 @@ class ReplicaNode:
         self._el_backoff = self.cfg.election_backoff_base_ns
         self._el_next = 0
         self._restart_gate = Gate(self.engine)
-        self.proc = self.engine.process(self._main(),
-                                        name=f"replica-{node_id}")
+        self.engine.process(self._main(), name=f"replica-{node_id}")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -49,8 +49,7 @@ class CoreScheduler:
         self.steals = 0
         #: Deepest combined run queue ever seen (backpressure signal).
         self.queue_high_water = 0
-        self._proc = self.engine.process(self._loop(),
-                                         name=f"sched-core{core.core_id}")
+        self.engine.process(self._loop(), name=f"sched-core{core.core_id}")
 
     # -- queue management ------------------------------------------------
     def enqueue(self, ut: Uthread, completed: bool = False) -> None:
@@ -103,7 +102,6 @@ class CoreScheduler:
         victim = max(victims, key=lambda s: (s.queue_len, -s.core.core_id))
         ut = victim._next_local()
         if ut is not None:
-            ut.steals += 1
             ut.home = self
             self.steals += 1
         return ut
@@ -196,11 +194,9 @@ class CoreScheduler:
                         stats.deadline_misses += 1
                     elif isinstance(exc, WaitTimeout):
                         stats.timeouts += 1
-                    ut.syscalls += 1
                     yield self.engine.sleep(model.completion_poll_cost)
                     throw = exc
                     continue
-                ut.syscalls += 1
                 # Returning from the kernel: poll completion buffers.
                 yield self.engine.sleep(model.completion_poll_cost)
                 if result is not None and getattr(result, "is_async", False):

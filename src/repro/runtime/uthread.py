@@ -25,10 +25,10 @@ class UthreadState(enum.Enum):
 class Uthread:
     """One userspace thread."""
 
-    __slots__ = ("uid", "engine", "body", "name", "state", "deadline",
+    __slots__ = ("uid", "body", "name", "state", "deadline",
                  "priority", "watchdog_flagged", "home", "resume_value",
                  "done", "io_parked", "pending_continuation", "spawned_at",
-                 "finished_at", "syscalls", "parks", "steals", "last_op_id")
+                 "parks", "last_op_id")
 
     def __init__(self, engine: Engine, body: Generator,
                  name: Optional[str] = None,
@@ -40,7 +40,6 @@ class Uthread:
         # (a class-level counter would leak across engines and make
         # uthread names depend on everything run before).
         self.uid = engine.name_seq("uthread")
-        self.engine = engine
         self.body = body
         self.name = name or f"uthread-{self.uid}"
         self.state = UthreadState.RUNNABLE
@@ -67,10 +66,7 @@ class Uthread:
         self.last_op_id: Optional[int] = None
         # Statistics.
         self.spawned_at = engine.now
-        self.finished_at: Optional[int] = None
-        self.syscalls = 0
         self.parks = 0
-        self.steals = 0
 
     @property
     def finished(self) -> bool:
@@ -78,12 +74,10 @@ class Uthread:
 
     def finish(self, value: Any) -> None:
         self.state = UthreadState.FINISHED
-        self.finished_at = self.engine.now
         self.done.succeed(value)
 
     def fail(self, exc: BaseException) -> None:
         self.state = UthreadState.FINISHED
-        self.finished_at = self.engine.now
         self.done.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

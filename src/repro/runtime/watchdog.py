@@ -114,7 +114,7 @@ class Watchdog:
         self.reports: List[HangReport] = []
         self._work = Gate(self.engine)
         runtime.watchdog = self
-        self._proc = self.engine.process(self._loop(), name="watchdog")
+        self.engine.process(self._loop(), name="watchdog")
 
     def notify(self) -> None:
         """Wake the watchdog (a new uthread may need watching)."""

@@ -268,13 +268,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(engine)
-        self.delay = delay
         self._value = value
         self._state = _TRIGGERED
         engine._schedule(self, delay)

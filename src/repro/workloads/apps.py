@@ -131,7 +131,7 @@ def run_app(kind: str, app_name: str, cores: int,
     warmup_end = t_start + warmup_us * US
     t_end = t_start + duration_us * US
     meter = ThroughputMeter(warmup_end, t_end)
-    lat = LatencySeries(f"{kind}-{app_name}")
+    lat = LatencySeries()
     busy0: List[int] = []
 
     def snapshot():
@@ -326,7 +326,7 @@ def run_webserver_gc(mode: str, duration_us: int = 20_000,
 
     t_start = engine.now
     t_end = t_start + duration_us * US
-    timeline = Timeline("webserver-latency")
+    timeline = Timeline()
     # GC activity: bursts in the middle two quarters, like the paper's
     # two GC windows over the 10 s trace.
     q = duration_us * US // 8

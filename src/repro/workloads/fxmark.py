@@ -156,7 +156,7 @@ def run_fxmark(cfg: FxmarkConfig) -> FxmarkResult:
     warmup_end = t_start + cfg.warmup_us * US
     t_end = t_start + cfg.duration_us * US
     meter = ThroughputMeter(warmup_end, t_end)
-    lat = LatencySeries(f"{cfg.kind}-{cfg.op}")
+    lat = LatencySeries()
     busy_at_warmup: List[int] = []
 
     def snapshot_busy():

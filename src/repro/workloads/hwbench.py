@@ -48,8 +48,7 @@ def measure_copy_bandwidth(mode: str, write: bool, cores: int, io_size: int,
     if mode == "memcpy":
         def worker(idx: int):
             while engine.now < t_end:
-                yield from platform.memory.cpu_copy(io_size, write=write,
-                                                    tag=idx)
+                yield from platform.memory.cpu_copy(io_size, write=write)
                 moved[0] += io_size
         for c in range(cores):
             engine.process(worker(c), name=f"copy{c}")
@@ -57,7 +56,7 @@ def measure_copy_bandwidth(mode: str, write: bool, cores: int, io_size: int,
         def worker(idx: int):
             channel = platform.dma.channel(idx % channels)
             while engine.now < t_end:
-                descs = [DmaDescriptor(io_size, write=write, tag=idx)
+                descs = [DmaDescriptor(io_size, write=write)
                          for _ in range(batch)]
                 yield from channel.submit(descs)
                 for desc in descs:
@@ -113,14 +112,14 @@ def measure_interference(bg_mode: str, duration_us: int = 12_000,
     q = duration_us * US // 8
     gc_windows = [(t_start + 1 * q, t_start + 3 * q),
                   (t_start + 5 * q, t_start + 7 * q)]
-    timeline = Timeline(f"fg-latency-{bg_mode}")
+    timeline = Timeline()
     fg_channel = platform.dma.channel(0)
     bg_channel = fg_channel if bg_mode == "dma-sh" else platform.dma.channel(1)
 
     def foreground():
         while engine.now < t_end:
             t0 = engine.now
-            desc = DmaDescriptor(fg_io, write=False, tag="fg")
+            desc = DmaDescriptor(fg_io, write=False)
             yield from fg_channel.submit([desc])
             yield desc.done
             timeline.record(engine.now, (engine.now - t0) / 1000.0)
@@ -133,17 +132,15 @@ def measure_interference(bg_mode: str, duration_us: int = 12_000,
                 continue
             if bg_mode == "memcpy":
                 for _ in range(bg_bulk // chunk):
-                    yield from platform.memory.cpu_copy(chunk, write=False,
-                                                        tag="bg")
-                    yield from platform.memory.cpu_copy(chunk, write=True,
-                                                        tag="bg")
+                    yield from platform.memory.cpu_copy(chunk, write=False)
+                    yield from platform.memory.cpu_copy(chunk, write=True)
             else:
                 # One read + one write descriptor pair per chunk,
                 # submitted together so both directions stay in flight.
                 descs = []
                 for _ in range(bg_bulk // chunk):
-                    descs.append(DmaDescriptor(chunk, write=False, tag="bg"))
-                    descs.append(DmaDescriptor(chunk, write=True, tag="bg"))
+                    descs.append(DmaDescriptor(chunk, write=False))
+                    descs.append(DmaDescriptor(chunk, write=True))
                 for i in range(0, len(descs), 8):
                     yield from bg_channel.submit(descs[i:i + 8])
                 for desc in descs:

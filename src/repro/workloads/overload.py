@@ -154,7 +154,7 @@ def run_overload(cfg: OverloadConfig) -> OverloadResult:
 
     rng = random.Random(cfg.seed)
     slots = cfg.file_bytes // cfg.io_size
-    lat = LatencySeries(f"{cfg.kind}-overload")
+    lat = LatencySeries()
     counts = {"offered": 0, "completed": 0, "rejected": 0,
               "deadline_missed": 0, "failed": 0}
 

@@ -145,7 +145,7 @@ def run_replication(cfg: ReplicationConfig) -> ReplicationResult:
     runtime = Runtime(platform, cores=platform.cores[:1])
 
     rng = random.Random(cfg.seed)
-    lat = LatencySeries("replication")
+    lat = LatencySeries()
     counts = {"offered": 0, "acked": 0, "deadline_missed": 0, "failed": 0}
     done = [0]
 

@@ -196,7 +196,9 @@ def _dir_workload(fs, _iterations):
     yield ("op",)
     yield from fs.rename(ctx(), "/d/a2/g", "/top")
     yield ("op",)
-    # A non-empty directory inside the renamed one goes, subtree and all.
+    # Empty a directory inside the renamed one, then remove it.
+    yield from fs.unlink(ctx(), "/d/a2/b/g2")
+    yield ("op",)
     yield from fs.unlink(ctx(), "/d/a2/b")
     yield ("op",)
     yield from fs.mkdir(ctx(), "/d/a2/b")
@@ -212,7 +214,7 @@ class TestIncrementalSnapshots:
     @pytest.mark.parametrize("kind", ["nova", "easyio"])
     def test_directory_recording(self, checked, kind):
         image, oracle = _record_workload(kind, _dir_workload, 1, lines=True)
-        assert len(checked) == len(oracle) == 18
+        assert len(checked) == len(oracle) == 19
         paths = set().union(*(snap for _s, _e, snap in oracle))
         assert {"/c/a2/b/f", "/h", "/c/a2/b/g2", "/d/a2/b/g2",
                 "/d/a2/b/h"} <= paths

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.fs import FsError, NovaFS, PMImage
-from repro.fs.structures import PAGE_SIZE, FileKind
+from repro.fs.structures import PAGE_SIZE, ROOT_INO, FileKind
 from repro.hw.platform import Platform, PlatformConfig
 from repro.workloads.factory import FS_KINDS, make_fs
 from repro.workloads.fxmark import settle
@@ -66,6 +66,28 @@ class TestNamespace:
         do(fs, fs.unlink(fs.context(), "/a"))
         assert fs.allocator.pages_freed == before + 4
         assert ino not in fs._mem
+
+    @pytest.mark.parametrize("kind", ["nova", "easyio"])
+    def test_unlink_non_empty_directory_rejected(self, kind):
+        fs = make_fs(kind, Platform(PlatformConfig.single_node()))
+        d = do(fs, fs.mkdir(fs.context(), "/d"))
+        f = do(fs, fs.create(fs.context(), "/d/f"))
+        result = do(fs, fs.write(fs.context(), f, 0, PAGE_SIZE * 2))
+        run_proc(fs.engine, settle(fs, result))
+        root = fs.minode(ROOT_INO)
+
+        def state():
+            return (dict(root.dentries), dict(fs.minode(d).dentries),
+                    {ino: list(log) for ino, log in fs.image.logs.items()},
+                    dict(fs.minode(f).index), fs.allocator.pages_freed)
+        before = state()
+        with pytest.raises(FsError, match="directory not empty"):
+            do(fs, fs.unlink(fs.context(), "/d"))
+        assert state() == before
+        # Emptied first, the directory goes.
+        do(fs, fs.unlink(fs.context(), "/d/f"))
+        do(fs, fs.unlink(fs.context(), "/d"))
+        assert "d" not in root.dentries and d not in fs._mem
 
     def test_hard_link_shares_inode(self, fs):
         ino = do(fs, fs.create(fs.context(), "/a"))

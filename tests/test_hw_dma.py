@@ -101,11 +101,11 @@ class TestCompletion:
         ch = node.dma.channel(0)
         finished = []
         def body():
-            descs = [DmaDescriptor(4096, write=True, tag=i) for i in range(4)]
+            descs = [DmaDescriptor(4096, write=True) for _ in range(4)]
             yield from ch.submit(descs)
-            for d in descs:
-                yield d.done
-                finished.append(d.tag)
+            for i, d in enumerate(descs):
+                d.done.add_callback(lambda _ev, i=i: finished.append(i))
+            yield node.engine.all_of([d.done for d in descs])
         run_proc(node.engine, body())
         assert finished == [0, 1, 2, 3]
 
@@ -257,7 +257,7 @@ class TestEngineCapacity:
         done = {}
         def mover(chan_id):
             ch = node.dma.channel(chan_id)
-            d = DmaDescriptor(1 << 20, write=False, tag=chan_id)
+            d = DmaDescriptor(1 << 20, write=False)
             yield from ch.submit([d])
             yield d.done
             done[chan_id] = engine.now

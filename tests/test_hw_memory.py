@@ -6,10 +6,11 @@ from repro.hw import memory as hw_memory
 from repro.hw.memory import (
     CPU_GROUP,
     DELEGATION_GROUP,
+    DMA_GROUP,
     BandwidthPool,
     _waterfill,
 )
-from repro.sim import Engine
+from repro.fs import NovaFS, PMImage
 from tests.conftest import run_proc
 
 
@@ -61,7 +62,7 @@ class TestBandwidthPool:
         pool = BandwidthPool(engine, "p", capacity=2.0)
         done = []
         def flow(i):
-            yield pool.transfer(1000, cap=10.0, tag=i)
+            yield pool.transfer(1000, cap=10.0)
             done.append(engine.now)
         engine.process(flow(0))
         engine.process(flow(1))
@@ -73,11 +74,11 @@ class TestBandwidthPool:
         pool = BandwidthPool(engine, "p", capacity=2.0)
         done = {}
         def early():
-            yield pool.transfer(1000, cap=2.0, tag="e")
+            yield pool.transfer(1000, cap=2.0)
             done["early"] = engine.now
         def late():
             yield engine.timeout(250)
-            yield pool.transfer(500, cap=2.0, tag="l")
+            yield pool.transfer(500, cap=2.0)
             done["late"] = engine.now
         engine.process(early())
         engine.process(late())
@@ -102,14 +103,14 @@ class TestBandwidthPool:
         pool = BandwidthPool(engine, "p", capacity=10.0,
                              group_cap_fn=lambda counts: {"slow": 1.0})
         done = {}
-        def flow(group, tag):
-            yield pool.transfer(1000, cap=10.0, group=group, tag=tag)
-            done[tag] = engine.now
-        engine.process(flow("slow", "s"))
-        engine.process(flow("fast", "f"))
+        def flow(group):
+            yield pool.transfer(1000, cap=10.0, group=group)
+            done[group] = engine.now
+        engine.process(flow("slow"))
+        engine.process(flow("fast"))
         engine.run()
-        assert done["s"] == 1000      # capped at 1 B/ns
-        assert done["f"] == pytest.approx(112, abs=10)  # gets ~9 B/ns
+        assert done["slow"] == 1000      # capped at 1 B/ns
+        assert done["fast"] == pytest.approx(112, abs=10)  # gets ~9 B/ns
 
     def test_statistics(self, engine):
         pool = BandwidthPool(engine, "p", 1.0)
@@ -136,43 +137,19 @@ class TestBandwidthPool:
 
 
 class TestRebalance:
-    @staticmethod
-    def _staggered(tags):
-        """Two overlapping flows; returns (pool, [(tag index, done_at)])."""
-        engine = Engine()
-        pool = BandwidthPool(engine, "p", capacity=2.0)
-        done = []
-
-        def flow(i, delay, size):
-            yield engine.timeout(delay)
-            yield pool.transfer(size, cap=1.5, tag=tags[i])
-            done.append((i, engine.now))
-        engine.process(flow(0, 0, 1000))
-        engine.process(flow(1, 250, 500))
-        engine.run()
-        return pool, done
-
-    def test_unhashable_tag_takes_the_uncached_path(self):
-        hashed_pool, hashed = self._staggered(("a", "b"))
-        listed_pool, listed = self._staggered((["a"], ["b"]))
-        assert listed == hashed
-        assert hashed_pool._alloc_cache
-        assert not listed_pool._alloc_cache
-
-    @pytest.mark.parametrize("tag", ["t", ["t"]])
-    def test_zero_rate_flow_set_raises_stall(self, engine, tag):
+    def test_zero_rate_flow_set_raises_stall(self, engine):
         pool = BandwidthPool(engine, "p", capacity=5.0,
                              group_cap_fn=lambda counts: {"dead": 0.0})
         with pytest.raises(RuntimeError, match="stalled"):
-            pool.transfer(100, cap=1.0, group="dead", tag=tag)
+            pool.transfer(100, cap=1.0, group="dead")
 
     def test_superseded_timer_never_advances_pool(self, engine):
         pool = BandwidthPool(engine, "p", capacity=2.0)
         done = {}
 
-        def flow(tag):
-            yield pool.transfer(1000, cap=2.0, tag=tag)
-            done[tag] = engine.now
+        def flow(name):
+            yield pool.transfer(1000, cap=2.0)
+            done[name] = engine.now
 
         def body():
             engine.process(flow("a"))
@@ -220,7 +197,7 @@ class TestSlowMemory:
             plat = Platform(PlatformConfig.single_node())
             done = []
             def w(i):
-                yield from plat.memory.cpu_copy(1 << 20, write=True, tag=i)
+                yield from plat.memory.cpu_copy(1 << 20, write=True)
                 done.append(plat.engine.now)
             for i in range(writers):
                 plat.engine.process(w(i))
@@ -246,6 +223,34 @@ class TestSlowMemory:
         dimms = node.config.total_dimms
         values = [model.dma_write_ceiling(dimms, ch) for ch in (1, 2, 4, 8)]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("flows, expected", [
+        (((DMA_GROUP, 0), (DMA_GROUP, 0)), 1),
+        (((DMA_GROUP, 0), (DMA_GROUP, 1)), 2),
+        (((CPU_GROUP, None), (DELEGATION_GROUP, None)), 0),
+        (((DMA_GROUP, 3), (CPU_GROUP, None), (DMA_GROUP, 3),
+          (DMA_GROUP, 5)), 2),
+    ])
+    def test_active_write_channels_counts_distinct_channels(
+            self, node, flows, expected):
+        memory = node.memory
+        for group, channel in flows:
+            if group == DMA_GROUP:
+                memory.dma_transfer(4096, True, 1.0, channel)
+            else:
+                memory.write_pool.transfer(4096, 1.0, group)
+        assert memory._active_write_channels() == expected
+        node.engine.run()
+
+    def test_cpu_copies_for_different_files_share_a_memo_entry(self, node):
+        """The allocation memo keys on what sets rates -- group, cap
+        and DMA channel -- so a lone memcpy write costs one entry
+        whichever file it is for."""
+        fs = NovaFS(node, PMImage()).mount()
+        for path in ("/a", "/b"):
+            ino = run_proc(node.engine, fs.create(fs.context(), path))
+            run_proc(node.engine, fs.write(fs.context(), ino, 0, 4096))
+        assert len(node.memory.write_pool._alloc_cache) == 1
 
     def test_byte_counters(self, node):
         run_copy(node, 4096, write=True)

@@ -118,7 +118,7 @@ class TestReadPlan:
         plan = IoPlanner(None).read_plan(m, PAGE_SIZE + 1, PAGE_SIZE)
         assert plan.extents == \
             IoPlanner.read_plan_from_runs(
-                7, PAGE_SIZE + 1, PAGE_SIZE, [(1, (101, 102))]).extents
+                PAGE_SIZE + 1, PAGE_SIZE, [(1, (101, 102))]).extents
 
 
 class TestWritePlan:
@@ -129,7 +129,7 @@ class TestWritePlan:
                        size_after=0, run_sizes=run_sizes(page_ids),
                        nbytes=len(page_ids) * PAGE_SIZE,
                        offset=3 * PAGE_SIZE)
-        return IoPlanner(None).write_plan(_minode({}), prep)
+        return IoPlanner(None).write_plan(prep)
 
     def test_extents_mirror_contiguous_runs(self):
         plan = self._plan([10, 11, 40], [b"a", b"b", b"c"])
@@ -137,7 +137,6 @@ class TestWritePlan:
             [(3, (10, 11)), (5, (40,))]
         assert plan.contents == [b"a", b"b", b"c"]
         assert plan.run_sizes == [2 * PAGE_SIZE, PAGE_SIZE]
-        assert plan.tag == ("w", 7)
 
     def test_single_page(self):
         plan = self._plan([99])

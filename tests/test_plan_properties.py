@@ -140,7 +140,7 @@ class TestCowPrepProperties:
             assert joined[lo:lo + nbytes] == payload
 
             # The write plan wraps the same pages, in order, tiled.
-            plan = planner.write_plan(m, prep)
+            plan = planner.write_plan(prep)
             assert plan.page_ids == prep.page_ids
             assert plan.contents == prep.contents
             pos = first
