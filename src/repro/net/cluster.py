@@ -56,7 +56,9 @@ class ClusterConfig:
     :attr:`failover_budget_ns`.
     """
 
-    #: Replica main-loop wakeup period.
+    #: The grid replica timer work lands on: a replica sleeps until a
+    #: message arrives or until the first ``tick_ns`` multiple past the
+    #: start of its wait at which a timer can act.
     tick_ns: int = 20_000
     #: Durable-append latency model: base + nbytes / bytes_per_ns.
     persist_base_ns: int = 1_500
@@ -91,6 +93,8 @@ class ClusterConfig:
                      "election_backoff_cap_ns", "client_rto_base_ns",
                      "client_rto_cap_ns"):
             check_non_negative(name, getattr(self, name))
+        if self.tick_ns < 1:
+            raise ValueError(f"tick_ns must be >= 1, got {self.tick_ns}")
         if self.renew_every_ns >= self.lease_ns:
             raise ValueError("renew_every_ns must be < lease_ns or the "
                              "lease lapses between renewals")

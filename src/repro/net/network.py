@@ -184,7 +184,8 @@ class Network:
         latency, bw = self.link_params(src, dst)
         base = latency + round((nbytes + HEADER_BYTES) / bw)
         for extra in fates:
-            ev = self.engine.timeout(base + extra)
+            # Never cancelled or kept: a pooled timer (Engine.sleep).
+            ev = self.engine.sleep(base + extra)
             ev.add_callback(
                 lambda _e, s=src, d=dst, m=msg: self._deliver(s, d, m))
 

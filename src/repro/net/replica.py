@@ -37,12 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim import Gate, WaitTimeout
+from repro.sim import Gate
 
 #: Node roles.
 BACKUP = "backup"
 CANDIDATE = "candidate"
 PRIMARY = "primary"
+
+#: Beyond any simulated instant: the quorum of a one-vote cluster
+#: never goes stale.
+_FOREVER = 1 << 120
 
 #: ClientResp reasons.
 OK = "ok"
@@ -149,11 +153,18 @@ class PendingWrite:
 class ReplicaNode:
     """One replica: a single main process handling messages + timers.
 
-    The node runs exactly one engine process (:meth:`_main`): it blocks
-    on its inbox with a ``tick_ns`` timeout, handles one message at a
-    time (persist delays serialise applies, like a real device queue),
-    and runs its role's timer work on every wakeup.  All role changes
-    happen inside this one process, so there are no intra-node races.
+    The node runs exactly one engine process (:meth:`_main`).  It
+    sleeps on its inbox until a message arrives or until the first
+    instant on its ``tick_ns`` grid at which its role's timer work can
+    act (:meth:`_next_action`), handles one message at a time (persist
+    delays serialise applies, like a real device queue), and runs the
+    timer work (:meth:`_tick`) after every wakeup.  The grid is
+    anchored where each wait began, so a wakeup lands on the same
+    instant a wakeup every ``tick_ns`` would have reached; the grid
+    instants slept through would have changed nothing but
+    ``_last_quorum_t``, which :meth:`_catch_up` replays.  All role
+    changes happen inside this one process, so there are no intra-node
+    races.
     """
 
     def __init__(self, cluster, node_id: int):
@@ -197,6 +208,12 @@ class ReplicaNode:
         self._el_backoff = self.cfg.election_backoff_base_ns
         self._el_next = 0
         self._restart_gate = Gate(self.engine)
+        # The current wait (see _wait): where it began, its inbox
+        # getter, its grid timer, and the event the process sleeps on.
+        self._wait_start = 0
+        self._getter = None
+        self._timer = None
+        self._wake = None
         self.engine.process(self._main(), name=f"replica-{node_id}")
 
     # ------------------------------------------------------------------
@@ -229,6 +246,13 @@ class ReplicaNode:
         self.readonly = False
         self._el_phase = None
         self.known_primary = None
+        wake = self._wake
+        if wake is not None and not wake.triggered \
+                and not self._getter.triggered:
+            # Sleeping: notice the crash at the first grid instant at
+            # or after it, as a wakeup every tick would have.
+            self._timer.cancel()
+            self._arm(self.engine.now)
 
     def restart(self) -> None:
         self.down = False
@@ -243,24 +267,106 @@ class ReplicaNode:
     # Main loop
     # ------------------------------------------------------------------
     def _main(self):
-        cfg = self.cfg
         while True:
             if self.down:
                 yield self._restart_gate.wait()
                 continue
-            msg = None
-            try:
-                got = yield self.endpoint.inbox.get(timeout=cfg.tick_ns)
-                msg = got
-            except WaitTimeout:
-                pass
+            msg = yield self._wait()
             if self.down:
                 continue
+            self._catch_up()
             if msg is not None:
                 src, payload = msg
                 yield from self._handle(src, payload)
             if not self.down:
                 self._tick()
+
+    def _wait(self):
+        """Event firing with the next inbox message, or with None at
+        the first grid instant ``start + k * tick_ns`` (k >= 1, start =
+        now) at which :meth:`_tick` can act.
+
+        The hops match :func:`repro.sim.sync._timed`: a delivery wakes
+        the process two hops later in its instant, a queued message one
+        hop later, and a message granted in the timer's instant wins.
+        """
+        self._wait_start = self.engine.now
+        getter = self.endpoint.inbox.get()
+        if getter.triggered:
+            return getter
+        self._getter = getter
+        self._wake = self.engine.event()
+        self._arm(self._next_action())
+        getter.add_callback(self._on_message)
+        return self._wake
+
+    def _arm(self, due: int) -> None:
+        """Time the current wait out at the first instant of its grid
+        that is at or after ``due``."""
+        tick = self.cfg.tick_ns
+        start = self._wait_start
+        k = max(1, -((start - due) // tick))
+        self._timer = self.engine.timeout(start + k * tick - self.engine.now)
+        self._timer.add_callback(self._on_timer)
+
+    def _on_message(self, getter) -> None:
+        timer = self._timer
+        if not timer.processed:
+            timer.cancel()
+        self._wake.succeed(getter.value)
+
+    def _on_timer(self, _timer) -> None:
+        getter = self._getter
+        if getter.triggered:
+            return                       # a message won this instant
+        getter.cancel()
+        self._wake.succeed(None)
+
+    def _next_action(self) -> int:
+        """Earliest instant at which :meth:`_tick` can act, given the
+        state the last tick left.  A strict ``now > d`` check in the
+        tick is due at ``d + 1``."""
+        cfg = self.cfg
+        if self.role == BACKUP:
+            return (self.last_primary_contact + cfg.failover_timeout_ns
+                    + self.node_id * cfg.failover_stagger_ns + 1)
+        if self.role == CANDIDATE:
+            return self._el_deadline if self._el_phase is not None \
+                else self._el_next
+        due = min(self.lease_expires, *self._next_ship.values())
+        if not self.readonly:
+            due = min(due, self._next_renew)
+        fresh_until = self._fresh_until()
+        if fresh_until >= self.engine.now:
+            due = min(due, fresh_until + 1)
+        elif not self.readonly:
+            due = min(due, self._last_quorum_t + cfg.readonly_after_ns + 1)
+        return due
+
+    def _fresh_until(self) -> int:
+        """Last instant at which the quorum counts as fresh on the acks
+        heard so far: the primary itself plus every peer heard from
+        within the read-only window."""
+        need = self.cluster.quorum - 1
+        if need == 0:
+            return _FOREVER
+        heard = sorted((self._last_ack_t.get(p, -10**15) for p in self.peers),
+                       reverse=True)
+        return heard[need - 1] + self.cfg.readonly_after_ns
+
+    def _catch_up(self) -> None:
+        """Replay the grid instants this wait slept through.  Each was
+        a no-op tick except that a primary whose quorum was fresh
+        stamped ``_last_quorum_t``; acks arrive only as messages, so
+        the last such instant is the last one at or before both now
+        and the end of freshness."""
+        if self.role != PRIMARY:
+            return
+        tick = self.cfg.tick_ns
+        start = self._wait_start
+        k = (min(self.engine.now, self._fresh_until()) - start) // tick
+        if k >= 1:
+            self._last_quorum_t = start + k * tick
 
     def _persist(self, nbytes: int):
         """Simulated durable append latency; returns False if a crash
@@ -469,12 +575,7 @@ class ReplicaNode:
     def _primary_tick(self) -> None:
         cfg = self.cfg
         now = self.engine.now
-        # Quorum health: the primary itself plus every peer heard from
-        # within the read-only window.
-        fresh = 1 + sum(1 for p in self.peers
-                        if now - self._last_ack_t.get(p, -10**15)
-                        <= cfg.readonly_after_ns)
-        if fresh >= self.cluster.quorum:
+        if now <= self._fresh_until():
             self._last_quorum_t = now
             self.readonly = False
         elif now - self._last_quorum_t > cfg.readonly_after_ns:
@@ -629,7 +730,7 @@ class ReplicaNode:
             self._start_election()
 
     # ------------------------------------------------------------------
-    # Per-wakeup timer work
+    # Timer work, run after every wakeup
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         role = self.role

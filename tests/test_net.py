@@ -169,6 +169,9 @@ class TestCluster:
             ClusterConfig(lease_ns=100, renew_every_ns=100)
         with pytest.raises(ValueError, match="tick_ns"):
             ClusterConfig(tick_ns=-1)
+        # The replica timer grid needs a positive period.
+        with pytest.raises(ValueError, match="tick_ns must be >= 1"):
+            ClusterConfig(tick_ns=0)
 
     def test_elects_one_primary_and_commits_writes(self):
         eng = Engine()

@@ -11,7 +11,9 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.net import Cluster, NodeCrashFault, PartitionFault
+from repro.net import (Cluster, NetFaultPlan, NodeCrashFault,
+                       PartitionFault, ReplicaNode)
+from repro.obs import Tracer
 from repro.sim import Engine
 from repro.workloads import ReplicationConfig, run_replication
 from repro.workloads.replication import CLUSTER_ORACLES
@@ -126,3 +128,106 @@ class TestOracleWiring:
             n_clients=1, writes_per_client=4, seed=9,
             check_oracles=False))
         assert res.drained and res.violations == []
+
+
+def _bare_cluster(monkeypatch, schedule, until_ns):
+    """Run a three-node cluster with no clients under ``schedule``.
+
+    Returns the trace's ``(t, name)`` role points (read-only and
+    step-down), each node's election actions as ``(t, node, what)``,
+    and each node's wakeups as ``(t, node)`` ``_tick`` calls.
+    """
+    actions, ticks = [], []
+
+    def record(name, log, entry):
+        real = getattr(ReplicaNode, name)
+
+        def wrapped(self):
+            log.append(entry(self))
+            return real(self)
+        monkeypatch.setattr(ReplicaNode, name, wrapped)
+
+    record("_start_election", actions,
+           lambda node: (node.engine.now, node.node_id, "elect"))
+    record("_abandon_round", actions,
+           lambda node: (node.engine.now, node.node_id, "abandon"))
+    record("_tick", ticks, lambda node: (node.engine.now, node.node_id))
+    engine = Engine()
+    engine.tracer = Tracer(engine)
+    cluster = Cluster(engine, n=3)
+    NetFaultPlan(schedule=schedule).install(cluster.network, cluster=cluster)
+    engine.run(until=until_ns)
+    points = [(e.t, e.name) for e in engine.tracer.events
+              if e.name in ("repl_readonly", "repl_stepdown")]
+    return points, actions, ticks
+
+
+class TestSleepUntilActionable:
+    """A replica sleeps until a message or the first instant of its
+    ``tick_ns`` grid at which its timers can act.  Each pinned instant
+    below is where a replica woken on every tick acts; sleeping must
+    land on the same one."""
+
+    def test_quorum_lapse_mid_sleep_turns_readonly_on_time(self,
+                                                           monkeypatch):
+        # Both backups drop out at 2 ms; the primary keeps shipping
+        # heartbeats every three ticks and sleeps through the ticks in
+        # between, whose fresh-quorum stamps the read-only clock runs
+        # from.
+        points, _, _ = _bare_cluster(
+            monkeypatch, (PartitionFault(2_000_000, 3_000_000, (1, 2)),),
+            5_000_000)
+        assert points == [(3_171_504, "repl_readonly"),
+                          (4_271_504, "repl_stepdown")]
+
+    def test_lease_expiry_step_down_on_time(self, monkeypatch):
+        # The isolated primary cannot renew; its lease lapses at an
+        # instant none of its ship timers fall on (and it has gone
+        # read-only first).
+        points, _, _ = _bare_cluster(
+            monkeypatch, (PartitionFault(2_156_000, 3_000_000, (0,)),),
+            4_200_000)
+        assert points == [(3_307_492, "repl_readonly"),
+                          (3_347_492, "repl_stepdown")]
+
+    @pytest.mark.parametrize("crash_at, first_election", [
+        (1_503_000, 2_721_234),   # no grid instant in the window
+        (1_510_000, 2_745_000),   # window holds 1_521_234: new grid
+        (1_517_000, 2_752_000),   # window holds 1_521_234: new grid
+        (1_523_000, 2_741_234),   # no grid instant in the window
+    ])
+    def test_sub_tick_crash_restarts_on_the_tick_grid(self, monkeypatch,
+                                                      crash_at,
+                                                      first_election):
+        # Node 2 is partitioned from 1 ms, so nothing re-anchors its
+        # grid (instants 1_234 mod 20_000).  A 15 us crash re-anchors
+        # it at the restart only when a grid instant falls inside the
+        # window: that is the instant the crash was noticed.
+        _, actions, _ = _bare_cluster(
+            monkeypatch,
+            (PartitionFault(1_000_000, 6_000_000, (2,)),
+             NodeCrashFault(2, at_ns=crash_at, down_ns=15_000)),
+            3_500_000)
+        t = first_election
+        assert [a for a in actions if a[1] == 2] == [
+            (t, 2, "elect"), (t + 300_000, 2, "abandon"),
+            (t + 400_000, 2, "elect"), (t + 700_000, 2, "abandon")]
+
+    def test_failover_strict_and_election_deadline_inclusive(self,
+                                                             monkeypatch):
+        # Node 2 restarts at 1.6 ms behind a partition, so its
+        # failover window (900 + 2 * 150 us) and every election timer
+        # after it end exactly on its grid.  The failover check is
+        # strict (elect one tick after the window ends), the election
+        # deadline and backoff are inclusive, and no wakeup is idle.
+        _, actions, ticks = _bare_cluster(
+            monkeypatch,
+            (PartitionFault(1_000_000, 6_000_000, (2,)),
+             NodeCrashFault(2, at_ns=1_500_000, down_ns=100_000)),
+            4_000_000)
+        assert [a for a in actions if a[1] == 2] == [
+            (2_820_000, 2, "elect"), (3_120_000, 2, "abandon"),
+            (3_220_000, 2, "elect"), (3_520_000, 2, "abandon"),
+            (3_720_000, 2, "elect")]
+        assert [t for t, node in ticks if node == 2 and t > 1_600_000] \
+            == [2_820_000, 3_120_000, 3_220_000, 3_520_000, 3_720_000]
