@@ -352,8 +352,7 @@ class DmaChannel:
             if owner is not None:
                 rate = min(rate, owner.claim_share())
             try:
-                yield self.memory.dma_transfer(desc.nbytes, desc.write, rate,
-                                               self.channel_id)
+                yield self.memory.dma_transfer(desc.nbytes, desc.write, rate)
             finally:
                 if owner is not None:
                     owner.release_share()

@@ -14,8 +14,9 @@ subject to
 
 Whenever the flow set changes the pool recomputes the allocation,
 charges every active flow for the bytes it moved since the last
-change, and schedules a wake-up at the earliest projected completion.
-This is exact (no chunking error) and costs O(flows) work per change.
+change, and moves its one wake-up to the earliest projected
+completion.  This is exact (no chunking error) and costs O(flows)
+work per change.
 
 :class:`SlowMemory` wraps a read pool and a write pool for one device
 (a set of Optane DIMMs) and exposes the transfer API the CPU-copy and
@@ -41,25 +42,22 @@ DELEGATION_GROUP = "delegation"
 class PoolFlow:
     """One in-flight transfer inside a :class:`BandwidthPool`."""
 
-    __slots__ = ("nbytes", "remaining", "cap", "group", "channel",
-                 "event", "rate", "shape_id")
+    __slots__ = ("nbytes", "remaining", "cap", "group", "event", "rate",
+                 "shape_id")
 
-    def __init__(self, nbytes: int, cap: float, group: str,
-                 channel: Optional[int], event: Event, shape_id: int):
+    def __init__(self, nbytes: int, cap: float, group: str, event: Event,
+                 shape_id: int):
         self.nbytes = nbytes
         self.remaining = float(nbytes)
         self.cap = cap
         self.group = group
-        #: The DMA channel moving the bytes; None for CPU and
-        #: delegation flows.
-        self.channel = channel
         self.event = event
         self.rate = 0.0
-        #: The pool's interned id of ``(group, cap, channel)``.
+        #: The pool's interned id of ``(group, cap)``.
         self.shape_id = shape_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PoolFlow {self.group}/{self.channel} {self.remaining:.0f}B"
+        return (f"<PoolFlow {self.group} {self.remaining:.0f}B"
                 f" @ {self.rate:.2f}B/ns>")
 
 
@@ -124,6 +122,13 @@ def _waterfill_compute(demands: List[float], caps: List[float],
     return rates
 
 
+def _memo_put(cache: dict, key, value) -> None:
+    """Store one pool memo entry, dropping the memo once it is full."""
+    if len(cache) >= _WATERFILL_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+
+
 class BandwidthPool:
     """Exact processor-sharing bandwidth pool with hierarchical caps.
 
@@ -149,13 +154,21 @@ class BandwidthPool:
         self.group_cap_fn = group_cap_fn
         self._flows: List[PoolFlow] = []
         self._last_update: int = 0
-        #: The pending completion wake-up.  A timer that fires while it
-        #: is no longer this one was superseded and must not act.
+        #: The one completion wake-up, re-armed on every re-solve (None
+        #: until the first, or after a wake-up had to be cancelled in
+        #: the batch being fired).
         self._wakeup: Optional[Event] = None
-        #: Memoised flow-shape key -> rate list (see _allocate_rates).
+        #: The instant ``_wakeup`` is queued at; None while it is not.
+        self._wakeup_at: Optional[int] = None
+        #: Memoised ``(capacity, shape ids in flow order)`` -> rate list
+        #: (see _allocate_rates).
         self._alloc_cache: dict = {}
-        #: Interned flow shapes ``(group, cap, channel)`` -> small int ids,
-        #: so a memo key is a tuple of ints.  Ids are never reused
+        #: The order-free memo behind it, for flow sets where every
+        #: group's flows share one cap: ``(capacity, sorted shape ids)``
+        #: -> ``{shape id: rate}``.
+        self._uniform_cache: dict = {}
+        #: Interned flow shapes ``(group, cap)`` -> small int ids, so a
+        #: memo key is a tuple of ints.  Ids are never reused
         #: (``_next_shape_id`` only grows), so dropping the table can
         #: cost cache misses but never aliases two shapes.
         self._shape_ids: dict = {}
@@ -163,6 +176,10 @@ class BandwidthPool:
         # Lifetime statistics.
         self.bytes_moved: int = 0
         self.transfers_completed: int = 0
+        #: Rate allocations computed afresh (memo misses).
+        self.rate_solves: int = 0
+        #: Wake-up timers allocated rather than re-armed.
+        self.timers_allocated: int = 0
 
     # -- public API ----------------------------------------------------
     @property
@@ -183,13 +200,12 @@ class BandwidthPool:
         self.capacity = capacity
         self._rebalance()
 
-    def transfer(self, nbytes: int, cap: float, group: str = CPU_GROUP,
-                 channel: Optional[int] = None) -> Event:
+    def transfer(self, nbytes: int, cap: float,
+                 group: str = CPU_GROUP) -> Event:
         """Start a transfer; the returned event fires when it finishes.
 
         ``cap`` is the initiator's own rate limit (per-core or
-        per-channel), ``group`` selects the capacity class, and
-        ``channel`` names the DMA channel (None otherwise).
+        per-channel) and ``group`` selects the capacity class.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -198,16 +214,15 @@ class BandwidthPool:
             event.succeed(0)
             return event
         self._advance()
-        self._flows.append(PoolFlow(nbytes, cap, group, channel, event,
-                                    self._shape_id(group, cap, channel)))
+        self._flows.append(PoolFlow(nbytes, cap, group, event,
+                                    self._shape_id(group, cap)))
         self._rebalance()
         return event
 
     # -- internals -------------------------------------------------------
-    def _shape_id(self, group: str, cap: float,
-                  channel: Optional[int]) -> int:
+    def _shape_id(self, group: str, cap: float) -> int:
         """The interned id of one flow shape."""
-        shape = (group, cap, channel)
+        shape = (group, cap)
         ids = self._shape_ids
         sid = ids.get(shape)
         if sid is None:
@@ -227,16 +242,18 @@ class BandwidthPool:
         self._last_update = now
 
     def _rebalance(self) -> None:
-        """Retire finished flows, reassign rates, and schedule the
-        wake-up at the earliest projected completion."""
-        # Withdraw the superseded wake-up so stale timers do not pile
-        # up in the engine heap.  Inside that timer's own callback it
-        # is already processed and needs no cancellation.
-        stale = self._wakeup
-        if stale is not None:
-            self._wakeup = None
-            if not stale.processed and not stale.cancelled:
-                stale.cancel()
+        """Retire finished flows, reassign rates, and move the wake-up
+        to the earliest projected completion."""
+        engine = self.engine
+        # Withdraw the queued wake-up here, where a cancellation counts,
+        # so the engine's stats and compactions match cancelling it.
+        # Inside its own callback it has already fired.
+        wakeup = self._wakeup
+        if self._wakeup_at is not None:
+            if not engine.withdraw(wakeup, self._wakeup_at):
+                # Cancelled in the batch being fired: replace it.
+                wakeup = self._wakeup = None
+            self._wakeup_at = None
         flows = self._flows
         # Retire flows whose remaining bytes are (numerically) gone.
         finished = [f for f in flows if f.remaining <= 1e-6]
@@ -259,13 +276,17 @@ class BandwidthPool:
             raise RuntimeError(
                 f"bandwidth pool {self.name!r} stalled: zero aggregate rate "
                 f"with {len(flows)} active flows")
-        wakeup = self.engine.timeout(max(1, math.ceil(horizon)))
-        wakeup.add_callback(self._on_timer)
-        self._wakeup = wakeup
+        delay = max(1, math.ceil(horizon))
+        if wakeup is None:
+            self._wakeup = engine.timeout(delay)
+            self._wakeup.add_callback(self._on_timer)
+            self.timers_allocated += 1
+        else:
+            engine.rearm(wakeup, delay, self._on_timer)
+        self._wakeup_at = engine.now + delay
 
     def _on_timer(self, event: Event) -> None:
-        if event is not self._wakeup:
-            return  # superseded by a later rebalance
+        self._wakeup_at = None
         self._advance()
         self._rebalance()
 
@@ -274,18 +295,43 @@ class BandwidthPool:
         groups first (weighted by flow count), then flows within each
         group.
 
-        The allocation is a pure function of the flow-set shape --
-        ``(group, cap, channel)`` per flow plus the pool capacity (the
-        channel is included because the write policy counts distinct
-        active DMA write channels) -- and benchmark steady state
-        cycles through a handful of shapes, so results are memoised
-        per pool under the flows' interned shape ids.  The returned
-        list may be the cached one: never mutate it.
+        The allocation is a pure function of the pool capacity and
+        each flow's shape ``(group, cap)`` in order -- and benchmark
+        steady state cycles through a handful of shapes, so results
+        are memoised per pool under the flows' interned shape ids.
+        When every group's flows share one cap, the rates do not depend
+        on flow order (see :meth:`_solve_rates`), so on a miss an
+        order-free memo answers any order of a shape multiset seen
+        before.  The returned list may be the cached one: never mutate
+        it.
         """
-        key = (self.capacity, tuple([f.shape_id for f in flows]))
+        ids = tuple([f.shape_id for f in flows])
+        key = (self.capacity, ids)
         rates = self._alloc_cache.get(key)
         if rates is not None:
             return rates
+        # One shape per group means one cap per group.
+        if len(set(ids)) == len({f.group for f in flows}):
+            ukey = (self.capacity, tuple(sorted(ids)))
+            by_shape = self._uniform_cache.get(ukey)
+            if by_shape is None:
+                rates = self._solve_rates(flows)
+                _memo_put(self._uniform_cache, ukey, dict(zip(ids, rates)))
+            else:
+                rates = [by_shape[i] for i in ids]
+        else:
+            rates = self._solve_rates(flows)
+        _memo_put(self._alloc_cache, key, rates)
+        return rates
+
+    def _solve_rates(self, flows: List[PoolFlow]) -> List[float]:
+        """The unmemoised allocation behind :meth:`_allocate_rates`.
+
+        With one cap per group, flow order cannot change a rate: group
+        names are sorted, a group's cap sums equal values, and its
+        equal-cap water-fill gives every member the same float.
+        """
+        self.rate_solves += 1
         members: Dict[str, List[int]] = {}
         for i, flow in enumerate(flows):
             members.setdefault(flow.group, []).append(i)
@@ -305,9 +351,6 @@ class BandwidthPool:
                                 grate)
             for i, rate in zip(ix, shares):
                 rates[i] = rate
-        if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
-            self._alloc_cache.clear()
-        self._alloc_cache[key] = rates
         return rates
 
 
@@ -351,11 +394,6 @@ class SlowMemory:
         self.write_pool.set_capacity(self._base_write_capacity * write_factor)
 
     # -- capacity policies (the calibrated asymmetries live here) ------
-    def _active_write_channels(self) -> int:
-        """Distinct DMA channels with an in-flight write."""
-        return len({f.channel for f in self.write_pool._flows
-                    if f.group == DMA_GROUP})
-
     def _read_group_caps(self, counts: Dict[str, int]) -> Dict[str, float]:
         return {DMA_GROUP: self.model.dma_read_ceiling(self.dimms)}
 
@@ -363,8 +401,11 @@ class SlowMemory:
         return {
             CPU_GROUP: self.model.cpu_write_capacity(
                 self.dimms, counts.get(CPU_GROUP, 0)),
+            # A channel serves one descriptor at a time, so its pool
+            # flows never overlap: the DMA flow count is the number of
+            # distinct channels writing.
             DMA_GROUP: self.model.dma_write_ceiling(
-                self.dimms, self._active_write_channels()),
+                self.dimms, counts.get(DMA_GROUP, 0)),
         }
 
     # -- transfer API ----------------------------------------------------
@@ -391,9 +432,9 @@ class SlowMemory:
                 nbytes, model.cpu_copy_read_rate, group)
         return nbytes
 
-    def dma_transfer(self, nbytes: int, write: bool, channel_rate: float,
-                     channel: int) -> Event:
-        """Start a DMA-class transfer on ``channel``; returns its
-        completion event."""
+    def dma_transfer(self, nbytes: int, write: bool,
+                     channel_rate: float) -> Event:
+        """Start one DMA channel's transfer; returns its completion
+        event.  A channel has at most one in flight."""
         pool = self.write_pool if write else self.read_pool
-        return pool.transfer(nbytes, channel_rate, DMA_GROUP, channel)
+        return pool.transfer(nbytes, channel_rate, DMA_GROUP)

@@ -30,6 +30,14 @@ firing order):
   lazily compacted once they dominate (see :data:`COMPACT_MIN_DEAD`),
   so cancel-heavy overload runs do not drag dead entries around
   forever.
+* A timer that keeps being pushed back (a bandwidth pool's completion
+  wake-up) is re-armed rather than replaced: :meth:`Engine.withdraw`
+  swaps its queued slot for a cancelled tombstone, counted exactly as
+  :meth:`Event.cancel` counts a cancellation, and :meth:`Engine.rearm`
+  appends the same object at the tail of its new instant's bucket,
+  where a fresh :class:`Timeout` would go.  The schedule, the
+  cancellation count and the compactions are those of cancel plus a
+  fresh timer; only the allocation is elided.
 * :class:`AnyOf`/:class:`AllOf` fast-path the 1-event case.
 
 Example
@@ -233,14 +241,12 @@ class Event:
         self._state = _CANCELLED
         self.callbacks = None
         engine = self.engine
-        engine._stats.events_cancelled += 1
         if state == _TRIGGERED:
             # The entry stays in the schedule; the engine counts it and
             # compacts lazily once dead entries dominate.
-            dead = engine._dead + 1
-            engine._dead = dead
-            if dead > COMPACT_MIN_DEAD and dead * 2 > engine._queued:
-                engine._compact()
+            engine._count_dead_entry()
+        else:
+            engine._stats.events_cancelled += 1
         return True
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -506,7 +512,7 @@ class Engine:
 
     __slots__ = ("_now", "_buckets", "_whens", "_queued", "_dead",
                  "_active", "_sleep_pool", "_sleeps_reused", "_stats",
-                 "_done", "_name_seqs", "tracer")
+                 "_done", "_tombstone", "_name_seqs", "tracer")
 
     def __init__(self):
         self._now: int = 0
@@ -541,6 +547,12 @@ class Engine:
         done._state = _PROCESSED
         done.callbacks = None
         self._done = done
+        # The cancelled entry withdraw() leaves in a re-armed timer's
+        # old slot; one shared object serves every slot.
+        tombstone = Event(self)
+        tombstone._state = _CANCELLED
+        tombstone.callbacks = None
+        self._tombstone = tombstone
 
     @property
     def now(self) -> int:
@@ -658,6 +670,55 @@ class Engine:
             heappush(self._whens, when)
         else:
             bucket.append(event)
+
+    def withdraw(self, event: Event, when: int) -> bool:
+        """Take the queued timer ``event``, due at ``when``, out of the
+        schedule so :meth:`rearm` can queue the same object again.
+
+        Its slot keeps a cancelled tombstone, counted at this moment
+        exactly as :meth:`Event.cancel` counts a queued cancellation
+        (``events_cancelled``, the dead-entry count and the compaction
+        check), so the schedule and the stats read as if ``event`` had
+        been cancelled.  ``event`` itself is left pending.
+
+        Returns False when ``event`` sits in the batch being fired: the
+        run loop has popped that bucket, so the slot cannot be
+        replaced.  ``event`` is then cancelled for real, and the caller
+        must schedule a fresh timer instead of re-arming it.
+        """
+        bucket = self._buckets.get(when, ())
+        try:
+            i = bucket.index(event)
+        except ValueError:
+            event.cancel()
+            return False
+        bucket[i] = self._tombstone
+        event._state = _PENDING
+        self._count_dead_entry()
+        return True
+
+    def rearm(self, event: Event, delay: int,
+              fn: Callable[[Event], None]) -> None:
+        """Queue ``event`` -- withdrawn by :meth:`withdraw`, or
+        processed -- to fire ``delay`` ns from now with ``fn`` as its
+        only callback.  It goes to the tail of that instant's bucket,
+        exactly where a fresh :class:`Timeout` would."""
+        if event._state not in (_PENDING, _PROCESSED):
+            raise SimulationError(f"cannot re-arm queued event {event!r}")
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        event._state = _TRIGGERED
+        event.callbacks = [fn]
+        self._schedule(event, delay)
+
+    def _count_dead_entry(self) -> None:
+        """Count one cancelled entry left in the schedule, and compact
+        once dead entries dominate."""
+        self._stats.events_cancelled += 1
+        dead = self._dead + 1
+        self._dead = dead
+        if dead > COMPACT_MIN_DEAD and dead * 2 > self._queued:
+            self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries from every bucket, in place."""

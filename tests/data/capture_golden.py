@@ -12,10 +12,10 @@ reproduce every number *exactly* (the simulator is deterministic under
 fixed seeds, so any drift means the refactor changed behaviour).
 
 ``tests/data/work_counts.json`` pins how much work those runs do:
-engine events, pool transfers, DMA descriptors and filesystem ops per
-golden point, plus the plan and line-record counts of one line crash
-sweep, and the full plan list (as a digest) of each Table 2 line
-sweep.  A change may move these on purpose (a perf change that drops
+engine events, pool transfers, pool rate solves and wake-up timer
+allocations, DMA descriptors and filesystem ops per golden point, plus
+the plan and line-record counts of one line crash sweep, and the full
+plan list (as a digest) of each Table 2 line sweep.  A change may move these on purpose (a perf change that drops
 events, say); recapture them then and say why in the change.
 
 Its ``replication`` key pins the replicated-log layer: for each config
@@ -126,11 +126,14 @@ def work_counts(fs):
     """The work counters one finished run kept on its filesystem and
     platform."""
     platform = fs.platform
+    pools = (platform.memory.read_pool, platform.memory.write_pool)
     return {
         "engine": asdict(platform.engine.stats),
         "pools": {pool.name: [pool.transfers_completed, pool.bytes_moved]
-                  for pool in (platform.memory.read_pool,
-                               platform.memory.write_pool)},
+                  for pool in pools},
+        "pool_work": {pool.name: {"rate_solves": pool.rate_solves,
+                                  "timers_allocated": pool.timers_allocated}
+                      for pool in pools},
         "dma_descriptors": sum(ch.descriptors_completed
                                for ch in platform.dma.channels),
         "fs_ops": fs.ops_completed,

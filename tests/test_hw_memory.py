@@ -1,5 +1,7 @@
 """Tests for the bandwidth-pool model and slow-memory device."""
 
+import random
+
 import pytest
 
 from repro.hw import memory as hw_memory
@@ -11,6 +13,8 @@ from repro.hw.memory import (
     _waterfill,
 )
 from repro.fs import NovaFS, PMImage
+from repro.hw.dma import DmaDescriptor
+from repro.sim import Engine
 from tests.conftest import run_proc
 
 
@@ -144,6 +148,9 @@ class TestRebalance:
             pool.transfer(100, cap=1.0, group="dead")
 
     def test_superseded_timer_never_advances_pool(self, engine):
+        """b's arrival pushes the pool's one wake-up from a's lone
+        completion (500) to 900: the same object is re-armed, and its
+        old slot at 500 is a cancelled tombstone that fires nothing."""
         pool = BandwidthPool(engine, "p", capacity=2.0)
         done = {}
 
@@ -154,21 +161,79 @@ class TestRebalance:
         def body():
             engine.process(flow("a"))
             yield engine.timeout(1)
-            stale = pool._wakeup
+            wakeup = pool._wakeup
+            assert pool._wakeup_at == 500
             yield engine.timeout(99)
             engine.process(flow("b"))
             yield engine.timeout(50)
-            assert stale is not pool._wakeup and stale.cancelled
-            current = pool._wakeup
+            assert pool._wakeup is wakeup and pool._wakeup_at == 900
+            (stale,) = [ev for ev in engine._buckets[500]]
+            assert stale is not wakeup and stale.cancelled
+            assert engine.stats.events_cancelled == 1
             remaining = [f.remaining for f in pool._flows]
-            pool._on_timer(stale)        # a late delivery of the old timer
+            yield engine.timeout(400)    # past the superseded instant
             assert pool._last_update == 100
-            assert pool._wakeup is current
             assert [f.remaining for f in pool._flows] == remaining
         run_proc(engine, body())
         # a: 200 B alone at 2 B/ns, then 800 B at 1 B/ns -> 900.
         # b: 800 B at 1 B/ns alongside a, then 200 B at 2 B/ns -> 1000.
         assert done == {"a": 900, "b": 1000}
+        assert pool.timers_allocated == 1
+
+
+class TestRateMemo:
+    """The memo keys on what sets a rate; the order-free memo answers
+    only flow sets with one cap per group."""
+
+    @staticmethod
+    def _pool(rng):
+        pool = BandwidthPool(Engine(), "p", rng.choice((5.0, 7.3, 12.0)))
+        # A write-like policy: the CPU class collapses with writers, the
+        # DMA class declines with channels (one flow each).
+        pool.group_cap_fn = lambda counts: {
+            CPU_GROUP: 6.0 / (1 + 0.1 * counts.get(CPU_GROUP, 0)),
+            DMA_GROUP: 5.0 - 0.3 * counts.get(DMA_GROUP, 0)}
+        return pool
+
+    def test_order_free_memo_is_bit_exact(self):
+        rng = random.Random(26)
+        new_orders = mixed_sets = 0
+        for _ in range(400):
+            pool = self._pool(rng)
+            groups = rng.sample((CPU_GROUP, DMA_GROUP, DELEGATION_GROUP),
+                                rng.randint(1, 3))
+            one_cap = rng.random() < 0.5
+            group_cap = {g: rng.choice((1.0, 1.5, 2.5, 4.0)) for g in groups}
+            for _ in range(rng.randint(1, 8)):
+                g = rng.choice(groups)
+                cap = (group_cap[g] if one_cap
+                       else rng.choice((1.0, 1.5, 2.5, 4.0)))
+                pool.transfer(rng.randint(1, 10**6), cap, g)
+            flows = list(pool._flows)
+            uniform = (len({(f.group, f.cap) for f in flows})
+                       == len({f.group for f in flows}))
+            seen = {k[1] for k in pool._alloc_cache}
+            for _ in range(4):
+                rng.shuffle(flows)
+                ids = tuple(f.shape_id for f in flows)
+                free_key = (pool.capacity, tuple(sorted(ids)))
+                solves = pool.rate_solves
+                got = list(pool._allocate_rates(flows))
+                solved = pool.rate_solves - solves
+                fresh = pool._solve_rates(flows)
+                assert [r.hex() for r in got] == [r.hex() for r in fresh]
+                assert (pool.capacity, ids) in pool._alloc_cache
+                if uniform:
+                    # The arrival-order solve already filled the
+                    # order-free memo: any order is a hit.
+                    assert solved == 0 and free_key in pool._uniform_cache
+                    new_orders += ids not in seen
+                else:
+                    assert free_key not in pool._uniform_cache
+                    assert solved == (ids not in seen)
+                    mixed_sets += 1
+                seen.add(ids)
+        assert new_orders > 100 and mixed_sets > 100
 
 
 class TestSlowMemory:
@@ -233,14 +298,34 @@ class TestSlowMemory:
     ])
     def test_active_write_channels_counts_distinct_channels(
             self, node, flows, expected):
+        """The write ceiling reads the DMA flow count as the number of
+        distinct channels writing.  That holds because a channel's
+        service loop keeps one pool flow at a time: descriptors queued
+        on one channel never overlap in the pool.  Each channel's
+        descriptors get their own size, so a flow's size names its
+        channel."""
         memory = node.memory
+        pool = memory.write_pool
+        policy = pool.group_cap_fn
+        seen = []
+
+        def spy(counts):
+            live = [f.nbytes for f in pool._flows if f.group == DMA_GROUP]
+            assert len(set(live)) == len(live) == counts.get(DMA_GROUP, 0)
+            seen.append(len(live))
+            return policy(counts)
+
+        pool.group_cap_fn = spy
         for group, channel in flows:
             if group == DMA_GROUP:
-                memory.dma_transfer(4096, True, 1.0, channel)
+                assert node.dma.channel(channel).try_submit_one(
+                    DmaDescriptor(4096 + 64 * channel, write=True))
             else:
-                memory.write_pool.transfer(4096, 1.0, group)
-        assert memory._active_write_channels() == expected
+                pool.transfer(4096, 1.0, group)
         node.engine.run()
+        assert max(seen) == expected
+        assert sum(ch.descriptors_completed for ch in node.dma.channels) \
+            == sum(group == DMA_GROUP for group, _ in flows)
 
     def test_cpu_copies_for_different_files_share_a_memo_entry(self, node):
         """The allocation memo keys on what sets rates -- group, cap

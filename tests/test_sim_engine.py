@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
 from dataclasses import asdict
 
 import pytest
@@ -457,3 +458,112 @@ class TestEngineStats:
         engine.process(trigger())
         run_proc(engine, body())
         assert got == [{ev: "x"}]
+
+
+class _Mover:
+    """A timer a random schedule keeps pushing back, as a bandwidth
+    pool pushes its completion wake-up.  With ``rearm`` one object is
+    withdrawn and re-armed; otherwise each push cancels the queued
+    timer and schedules a fresh :class:`Timeout`."""
+
+    def __init__(self, engine, log, name, rearm):
+        self.engine, self.log, self.name, self.rearm = engine, log, name, rearm
+        self.timer = None
+        self.at = None
+        self.fresh = self.fallbacks = 0
+
+    def withdraw(self):
+        if self.at is None:
+            return
+        if not self.rearm:
+            self.timer.cancel()
+            self.timer = None
+        elif not self.engine.withdraw(self.timer, self.at):
+            self.timer = None
+            self.fallbacks += 1
+        self.at = None
+
+    def arm(self, delay):
+        engine = self.engine
+        if self.timer is None:
+            self.timer = engine.timeout(delay)
+            self.timer.add_callback(self.fire)
+            self.fresh += 1
+        else:
+            engine.rearm(self.timer, delay, self.fire)
+        self.at = engine.now + delay
+
+    def fire(self, event):
+        self.at = None
+        self.log.append((self.engine.now, self.name))
+
+
+def _random_schedule(seed, rearm):
+    """Processes sleep, push movers (with other events triggered between
+    the withdraw and the re-arm, as a pool retires flows there), and
+    cancel plain timers.  Returns the firing log, the stats and the
+    movers."""
+    rng = random.Random(seed)
+    engine = Engine()
+    log = []
+    movers = [_Mover(engine, log, f"m{i}", rearm) for i in range(2)]
+    plain = []
+
+    def actor(name):
+        for step in range(rng.randint(20, 60)):
+            yield engine.timeout(rng.choice((0, 1, 1, 2, 3, 5, 8)))
+            # The schedule's size and counters as of this moment, so a
+            # compaction at another moment shows.
+            stats = engine.stats
+            log.append((engine.now, name, step, engine.heap_size,
+                        stats.events_cancelled, stats.heap_compactions))
+            roll = rng.random()
+            if roll < 0.6:
+                mover = rng.choice(movers)
+                mover.withdraw()
+                for _ in range(rng.randint(0, 2)):
+                    ev = engine.event()
+                    ev.add_callback(lambda e, s=step: log.append(
+                        (engine.now, name, s, "done")))
+                    ev.succeed()
+                if rng.random() < 0.9:
+                    mover.arm(rng.choice((1, 2, 3, 5, 500, 5000)))
+            elif roll < 0.8:
+                t = engine.timeout(rng.randint(1, 20_000))
+                t.add_callback(lambda e, s=step: log.append(
+                    (engine.now, name, s, "plain")))
+                plain.append(t)
+            elif plain:
+                t = plain.pop(rng.randrange(len(plain)))
+                if not t.processed:
+                    t.cancel()
+
+    for i in range(rng.randint(2, 5)):
+        engine.process(actor(f"p{i}"))
+    engine.run()
+    return log, asdict(engine.stats), movers
+
+
+def test_rearmed_timer_fires_like_a_fresh_one():
+    """Over random schedules, re-arming one object fires every event at
+    the same (time, order), with equal EngineStats, as cancel plus a
+    fresh Timeout -- in-batch fallbacks and compactions included."""
+    fallbacks = compactions = 0
+    for seed in range(60):
+        log, stats, movers = _random_schedule(seed, rearm=False)
+        log2, stats2, movers2 = _random_schedule(seed, rearm=True)
+        assert log2 == log, seed
+        assert stats2 == stats, seed
+        fallbacks += sum(m.fallbacks for m in movers2)
+        compactions += stats["heap_compactions"]
+        # A fresh timer only for the first arm and after a fallback.
+        assert sum(m.fresh for m in movers2) <= (
+            len(movers2) + sum(m.fallbacks for m in movers2))
+        assert sum(m.fresh for m in movers2) < sum(m.fresh for m in movers)
+    assert fallbacks > 0 and compactions > 0
+
+
+def test_rearm_rejects_a_queued_event(engine):
+    t = engine.timeout(5)
+    with pytest.raises(SimulationError):
+        engine.rearm(t, 3, lambda e: None)

@@ -3,8 +3,9 @@
 ``tests/data/work_counts.json`` pins, per fig08/fig09 golden point, the
 counters the simulator already keeps -- engine events, cancellations,
 compactions and pooled-sleep reuses; each bandwidth pool's transfers
-and bytes; completed DMA descriptors; filesystem ops -- and, for one
-line crash sweep, its plans (all of which must pass), line records and
+and bytes, its fresh rate solves and its allocated (not re-armed)
+wake-up timers; completed DMA descriptors; filesystem ops -- and, for
+one line crash sweep, its plans (all of which must pass), line records and
 raw states.  For each of the eight Table 2 line sweeps it also pins
 what the crash planner chose: the plan count and a digest of the
 ordered plan list, the positions visited, the raw states and the
